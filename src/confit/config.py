@@ -9,13 +9,13 @@ from pathlib import Path
 
 import yaml
 
+from .driver import ALGORITHMS
 from .errors import ConfigError
 from .learners import LEARNER_KINDS, LearnerSpec
 from .losses import LOSS_KINDS, LossSpec
 from .solver import SolverOptions
 
 NORMALIZATION_MODES = ("train", "full")
-ALGORITHM_NAMES = ("affine_extension", "moving_targets")
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def load_config(path) -> ExperimentConfig:
     algorithms = r_node.pop("algorithms", ["affine_extension"])
     algorithms = _str_tuple(algorithms, "run.algorithms")
     for name in algorithms:
-        if name not in ALGORITHM_NAMES:
+        if name not in ALGORITHMS:
             raise ConfigError(f"run.algorithms: unknown algorithm {name!r}")
     if not algorithms:
         raise ConfigError("run.algorithms: need at least one algorithm")

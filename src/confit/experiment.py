@@ -119,12 +119,8 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def _alpha_tag(alpha: float) -> str:
-    return repr(float(alpha))
-
-
 def history_filename(algorithm: str, loss_kind: str, alpha: float) -> str:
-    return f"history_{algorithm}_{loss_kind}_a{_alpha_tag(alpha)}.jsonl"
+    return f"history_{algorithm}_{loss_kind}_a{format_float(alpha)}.jsonl"
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
@@ -291,7 +287,7 @@ def _write_summary_csv(path, rows) -> None:
     header = ["algorithm", "alpha", "fold", "kind", *SERIES_NAMES]
     lines = [",".join(header)]
     for row in rows:
-        cells = [str(row["algorithm"]), _alpha_tag(row["alpha"]), str(row["fold"]),
+        cells = [str(row["algorithm"]), format_float(row["alpha"]), str(row["fold"]),
                  row["kind"]]
         for name in SERIES_NAMES:
             value = row[name]

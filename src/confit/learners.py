@@ -16,6 +16,7 @@ import numpy as np
 from .losses import LossSpec, gradient, loss_value
 
 LEARNER_KINDS = ("ridge", "gbt")
+_TIE_RTOL = 1e-12  # split gains this close to a node's best are tied
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,6 @@ class _Tree:
             go_left = x[live, self.feature[nodes]] <= self.threshold[nodes]
             idx[live] = np.where(go_left, self.left[nodes], self.right[nodes])
 
-    def leaf_ids(self, x: np.ndarray) -> np.ndarray:
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            leafy = self.feature[idx] < 0
-            if leafy.all():
-                return idx
-            live = ~leafy
-            nodes = idx[live]
-            go_left = x[live, self.feature[nodes]] <= self.threshold[nodes]
-            idx[live] = np.where(go_left, self.left[nodes], self.right[nodes])
-
 
 @dataclass
 class FittedModel:
@@ -89,11 +79,7 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec) ->
         raise ValueError(f"incompatible shapes: x {x.shape}, target {target.shape}")
     if not np.isfinite(x).all():
         raise ValueError("feature matrix contains non-finite entries")
-    if spec.kind == "ridge":
-        model = _fit_ridge(spec, x, target, loss)
-    else:
-        model = _fit_gbt(spec, x, target, loss)
-    model.train_prediction = predict(model, x)
+    model = (_fit_ridge if spec.kind == "ridge" else _fit_gbt)(spec, x, target, loss)
     model.training_loss = loss_value(loss, model.train_prediction, target)
     return model
 
@@ -133,7 +119,8 @@ def _fit_ridge(spec: LearnerSpec, x, target, loss) -> FittedModel:
         ) from None
     rhs = g.T @ target
     theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return FittedModel(spec=spec, loss=loss, d=x.shape[1], theta=theta)
+    return FittedModel(spec=spec, loss=loss, d=x.shape[1], theta=theta,
+                       train_prediction=g @ theta)
 
 
 def _leaf_value(loss: LossSpec, residual: np.ndarray) -> float:
@@ -156,71 +143,115 @@ def _leaf_value(loss: LossSpec, residual: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def _fit_tree(x, grad_target, residual, loss, max_depth, min_leaf) -> _Tree:
-    """Exact greedy regression tree: structure chosen by squared-error gain on
-    the gradient targets, leaf values by line search on the true residuals."""
+def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin every feature at its sorted distinct values.
+
+    Returns `codes`, where codes[i, f] = f * width + the rank of x[i, f] among
+    the distinct values of column f, and `values`, where values[f, b] is the
+    b-th distinct value of column f (padded with +inf up to `width`).
+    """
     n, d = x.shape
-    feature, threshold, left, right, value = [], [], [], [], []
+    distinct = [np.unique(x[:, f]) for f in range(d)]
+    width = max((u.size for u in distinct), default=0)
+    values = np.full((d, width), np.inf)
+    codes = np.empty((n, d), dtype=np.int64)
+    for f, u in enumerate(distinct):
+        values[f, :u.size] = u
+        codes[:, f] = np.searchsorted(u, x[:, f]) + f * width
+    return codes, values
 
-    def best_split(idx):
-        gi = grad_target[idx]
-        ni = idx.size
-        if ni < 2 * min_leaf:
-            return None
-        tot = gi.sum()
-        base = tot * tot / ni
-        best_gain, best_f, best_thr = 1e-12, -1, 0.0
-        for f in range(d):
-            xv = x[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            cs = np.cumsum(gi[order])
-            nl = np.arange(1, ni)
-            valid = (xs[1:] != xs[:-1]) & (nl >= min_leaf) & (ni - nl >= min_leaf)
-            if not valid.any():
-                continue
-            sl = cs[:-1]
-            gain = np.where(valid, sl * sl / nl + (tot - sl) ** 2 / (ni - nl) - base, -np.inf)
-            j = int(np.argmax(gain))
-            if gain[j] > best_gain:  # strict: ties keep the lowest feature index
-                best_gain, best_f, best_thr = gain[j], f, 0.5 * (xs[j] + xs[j + 1])
-        return None if best_f < 0 else (best_f, best_thr)
 
-    def build(idx, depth):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        split = best_split(idx) if depth < max_depth else None
-        if split is None:
-            value[node] = _leaf_value(loss, residual[idx])
-            return node
-        f, thr = split
-        feature[node] = f
-        threshold[node] = thr
-        mask = x[idx, f] <= thr
-        left[node] = build(idx[mask], depth + 1)
-        right[node] = build(idx[~mask], depth + 1)
-        return node
+def _fit_tree(codes, values, x, grad_target, residual, loss, max_depth, min_leaf):
+    """Exact greedy regression tree grown level by level: structure chosen by
+    squared-error gain on the gradient targets, leaf values by line search on
+    the true residuals.
 
-    build(np.arange(n), 0)
-    return _Tree(np.array(feature), np.array(threshold), np.array(left, dtype=np.int64),
-                 np.array(right, dtype=np.int64), np.array(value))
+    The split search is a histogram search at the distinct feature values
+    (`_bin_features`), so it is exact. For each level, one bincount over the
+    key (node, feature, bin) gives every open node's gradient sum and row
+    count per bin, and prefix sums along the bins give the gain of every
+    split `x[:, f] <= threshold`. A candidate is a non-empty bin of the node
+    that has a later non-empty bin; its threshold is the midpoint to that
+    next value, and both sides must keep `min_leaf` rows. A node splits when
+    its best gain exceeds 1e-12. Gains within a relative `_TIE_RTOL` of the
+    node's best are tied, and the tie goes to the lowest feature, then the
+    lowest threshold. Each leaf's value is `_leaf_value` of its rows'
+    residuals in ascending row order.
+
+    Returns the tree and the leaf (node id) of every row.
+    """
+    n, d = codes.shape
+    width = values.shape[1]
+    cells = d * width
+    node = np.zeros(n, dtype=np.int64)  # each row's node
+    slot = np.zeros(n, dtype=np.int64)  # its node's place among the open nodes; m once closed
+    open_ids = np.zeros(1, dtype=np.int64)
+    splits = []  # (node ids, features, thresholds) per level, in node order
+    done = 0  # splits so far: the j-th split's children are nodes 2j+1 and 2j+2
+    weights = np.repeat(grad_target, d)
+    rows = np.arange(n)
+    for _ in range(max_depth):
+        m = open_ids.size
+        key = ((slot * cells)[:, None] + codes).ravel()
+        gsum = np.bincount(key, weights, (m + 1) * cells)[:m * cells].reshape(m, d, width)
+        count = np.bincount(key, minlength=(m + 1) * cells)[:m * cells].reshape(m, d, width)
+        ni = np.bincount(slot, minlength=m + 1)[:m, None, None]
+        tot = np.bincount(slot, grad_target, m + 1)[:m, None, None]
+        sl = np.cumsum(gsum, axis=2)
+        nl = np.cumsum(count, axis=2)
+        nr = ni - nl
+        valid = (count > 0) & (nl >= min_leaf) & (nr >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = sl * sl / nl + (tot - sl) ** 2 / nr - tot * tot / ni
+        gain = np.where(valid, gain, -np.inf).reshape(m, cells)
+        best = gain.max(axis=1, initial=-np.inf)
+        k = np.flatnonzero(best > 1e-12)
+        if k.size == 0:
+            break
+        first = np.argmax(gain[k] >= (best[k] - _TIE_RTOL * best[k])[:, None], axis=1)
+        f, b = np.divmod(first, width)
+        after = np.argmax(nl[k, f] > nl[k, f, b][:, None], axis=1)  # next non-empty bin
+        thr = 0.5 * (values[f, b] + values[f, after])
+        splits.append((open_ids[k], f, thr))
+
+        rank = np.full(m + 1, -1)
+        rank[k] = np.arange(k.size)
+        r = rank[slot]  # -1 for rows whose node stays a leaf; np.where drops them
+        side = 2 * r + (x[rows, f[r]] > thr[r])
+        node = np.where(r >= 0, 1 + 2 * done + side, node)
+        slot = np.where(r >= 0, side, 2 * k.size)
+        open_ids = 1 + 2 * done + np.arange(2 * k.size)
+        done += k.size
+
+    size = 1 + 2 * done
+    feature = np.full(size, -1, dtype=np.int64)
+    threshold = np.zeros(size)
+    left = np.full(size, -1, dtype=np.int64)
+    if splits:
+        ids, f, thr = map(np.concatenate, zip(*splits))
+        feature[ids], threshold[ids], left[ids] = f, thr, 1 + 2 * np.arange(done)
+    right = np.where(left < 0, -1, left + 1)
+    value = np.zeros(feature.size)
+    order = np.argsort(node, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(node, minlength=feature.size))[:-1])
+    for leaf in np.flatnonzero(feature < 0):
+        value[leaf] = _leaf_value(loss, residual[members[leaf]])
+    return _Tree(feature, threshold, left, right, value), node
 
 
 def _fit_gbt(spec: LearnerSpec, x, target, loss) -> FittedModel:
+    codes, values = _bin_features(x)
     current = np.full(x.shape[0], target.mean())
     trees: list[_Tree] = []
     for _ in range(spec.n_trees):
         residual = target - current
         grad_target = 0.5 * gradient(loss, residual) if loss.kind != "mae" else np.sign(residual)
-        tree = _fit_tree(x, grad_target, residual, loss, spec.max_depth, spec.min_samples_leaf)
-        current = current + spec.learning_rate * tree.apply(x)
+        tree, leaf = _fit_tree(codes, values, x, grad_target, residual, loss,
+                               spec.max_depth, spec.min_samples_leaf)
+        current = current + spec.learning_rate * tree.value[leaf]
         trees.append(tree)
-    return FittedModel(spec=spec, loss=loss, d=x.shape[1],
-                       init=float(target.mean()), trees=trees)
+    return FittedModel(spec=spec, loss=loss, d=x.shape[1], init=float(target.mean()),
+                       trees=trees, train_prediction=current)
 
 
 def training_curve(spec: LearnerSpec, x, target, loss: LossSpec) -> np.ndarray:
@@ -229,12 +260,10 @@ def training_curve(spec: LearnerSpec, x, target, loss: LossSpec) -> np.ndarray:
         raise ValueError("training_curve is defined for gbt learners")
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
-    current = np.full(x.shape[0], target.mean())
+    model = _fit_gbt(spec, x, target, loss)
+    current = np.full(x.shape[0], model.init)
     losses = []
-    for _ in range(spec.n_trees):
-        residual = target - current
-        grad_target = 0.5 * gradient(loss, residual) if loss.kind != "mae" else np.sign(residual)
-        tree = _fit_tree(x, grad_target, residual, loss, spec.max_depth, spec.min_samples_leaf)
-        current = current + spec.learning_rate * tree.apply(x)
+    for tree in model.trees:
+        current += spec.learning_rate * tree.apply(x)
         losses.append(loss_value(loss, current, target))
     return np.array(losses)

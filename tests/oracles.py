@@ -169,6 +169,57 @@ def best_stump_brute(x_col, target):
     return best_thr, best_mse
 
 
+def sorted_scan_tree(x, grad_target, residual, leaf_value, max_depth, min_leaf):
+    """Exact greedy regression tree found by a stable sort of every feature at
+    every node, scanning each boundary between distinct values in turn.
+
+    A split maximizes the squared-error gain on `grad_target`, with at least
+    `min_leaf` rows on each side and the threshold midway between the two
+    values at the boundary. A node splits when its best gain exceeds 1e-12;
+    gains within a relative 1e-12 of the best are tied, and the tie goes
+    to the lowest feature, then the lowest threshold. A leaf holds
+    `leaf_value(residual[rows])` with `rows` ascending.
+
+    Returns nested tuples: ("leaf", value, rows) or
+    ("split", feature, threshold, left, right).
+    """
+    n, d = x.shape
+
+    def best_split(idx):
+        gi = grad_target[idx]
+        ni = idx.size
+        if ni < 2 * min_leaf:
+            return None
+        tot = gi.sum()
+        base = tot * tot / ni
+        candidates = []  # in feature order, then threshold order
+        for f in range(d):
+            xv = x[idx, f]
+            order = np.argsort(xv, kind="stable")
+            xs = xv[order]
+            cs = np.cumsum(gi[order])
+            for j in range(ni - 1):
+                nl = j + 1
+                if xs[j] == xs[j + 1] or nl < min_leaf or ni - nl < min_leaf:
+                    continue
+                gain = cs[j] * cs[j] / nl + (tot - cs[j]) ** 2 / (ni - nl) - base
+                candidates.append((gain, f, 0.5 * (xs[j] + xs[j + 1])))
+        best = max((c[0] for c in candidates), default=-np.inf)
+        if best <= 1e-12:
+            return None
+        return next((f, thr) for gain, f, thr in candidates if gain >= best - 1e-12 * best)
+
+    def build(idx, depth):
+        split = best_split(idx) if depth < max_depth else None
+        if split is None:
+            return ("leaf", leaf_value(residual[idx]), tuple(idx))
+        f, thr = split
+        mask = x[idx, f] <= thr
+        return ("split", f, thr, build(idx[mask], depth + 1), build(idx[~mask], depth + 1))
+
+    return build(np.arange(n), 0)
+
+
 def mean_std_two_pass(values):
     """Population mean/std computed the pedestrian way."""
     vals = [float(v) for v in values]

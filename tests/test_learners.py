@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confit.learners import (FittedModel, LearnerSpec, fit, predict,
+from confit.learners import (FittedModel, LearnerSpec, _leaf_value, fit, predict,
                              range_projection_fit, training_curve)
-from confit.losses import LossSpec, MSE, MAE, loss_value
-from oracles import best_stump_brute, hat_matrix
+from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
+from oracles import best_stump_brute, hat_matrix, sorted_scan_tree
 
 HUBER = LossSpec("huber")
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
@@ -162,6 +163,87 @@ def test_gbt_rate_one_stump_is_two_level():
     model = fit(LearnerSpec("gbt", n_trees=1, max_depth=1, learning_rate=1.0,
                             min_samples_leaf=1), x, y, MSE)
     assert len(set(np.round(model.train_prediction, 12))) == 2
+
+
+def test_gbt_tied_features_go_to_the_lowest_index():
+    # both features put rows 0-2 left and 3-5 right, but feature 1 orders each
+    # side in reverse, so the two gains differ only by rounding (here feature
+    # 1's rounds higher); the documented tie rule still picks feature 0
+    x = np.array([[0.0, 0.3], [0.1, 0.2], [0.2, 0.1], [0.7, 1.0], [0.8, 0.9], [0.9, 0.8]])
+    y = np.array([0.06, 0.22, 0.21, 0.81, 0.79, 0.65])
+    model = fit(LearnerSpec("gbt", n_trees=1, max_depth=1, learning_rate=1.0,
+                            min_samples_leaf=1), x, y, MSE)
+    assert model.trees[0].feature[0] == 0
+    assert model.trees[0].threshold[0] == 0.5 * (0.2 + 0.7)
+
+
+def _as_nested(tree, x, rows, node=0):
+    """The tree in the oracle's nested form, with the training rows of each leaf."""
+    if tree.feature[node] < 0:
+        return ("leaf", tree.value[node], tuple(rows))
+    f, thr = tree.feature[node], tree.threshold[node]
+    go_left = x[rows, f] <= thr
+    return ("split", f, thr, _as_nested(tree, x, rows[go_left], tree.left[node]),
+            _as_nested(tree, x, rows[~go_left], tree.right[node]))
+
+
+def _tree_and_oracle(x, y, loss, max_depth, min_leaf):
+    """First tree of a fit, and the sorted-scan oracle on the same gradient."""
+    spec = LearnerSpec("gbt", n_trees=1, max_depth=max_depth, learning_rate=1.0,
+                       min_samples_leaf=min_leaf)
+    tree = fit(spec, x, y, loss).trees[0]
+    residual = y - y.mean()
+    grad_target = np.sign(residual) if loss.kind == "mae" else 0.5 * gradient(loss, residual)
+    oracle = sorted_scan_tree(x, grad_target, residual, lambda r: _leaf_value(loss, r),
+                              max_depth, min_leaf)
+    return _as_nested(tree, x, np.arange(y.size)), oracle
+
+
+def _leaf_sizes(nested):
+    if nested[0] == "leaf":
+        return [len(nested[2])]
+    return _leaf_sizes(nested[3]) + _leaf_sizes(nested[4])
+
+
+@st.composite
+def tree_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.lists(st.integers(1, 8), min_size=d, max_size=d))  # 1: constant column
+    x = np.column_stack([rng.choice(np.round(rng.uniform(0, 1, k), 2), n) for k in distinct])
+    levels = draw(st.sampled_from([1, 2, 3, None]))  # 1: constant target, no positive gain
+    y = rng.uniform(0, 1, n) if levels is None else rng.integers(0, levels, n) / 4.0
+    loss = draw(st.sampled_from([MSE, MAE, HUBER]))
+    return x, y, loss, draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_problems())
+def test_histogram_tree_matches_sorted_scan_oracle(problem):
+    # same splits, same training partition, and leaf values bit for bit
+    tree, oracle = _tree_and_oracle(*problem)
+    assert tree == oracle
+
+
+@pytest.mark.parametrize("loss", (MSE, MAE, HUBER), ids=lambda s: s.kind)
+@pytest.mark.parametrize("case", ["n-below-two-leaves", "leaf-at-min-size", "constant-column",
+                                  "no-positive-gain"])
+def test_histogram_tree_edge_cases(case, loss):
+    ramp = np.arange(12) / 12
+    if case == "n-below-two-leaves":  # 7 rows < 2 * min leaf 4: no split
+        x, y, min_leaf, sizes = ramp[:7, None], ramp[:7], 4, [7]
+    elif case == "leaf-at-min-size":  # the best split 2|10 is barred; 4|8 has min size
+        x, y, min_leaf, sizes = ramp[:, None], np.where(ramp < 0.15, 0.0, 1.0), 4, [4, 8]
+    elif case == "constant-column":  # column 0 cannot split, column 1 splits 6|6
+        x = np.column_stack([np.full(12, 0.5), ramp])
+        y, min_leaf, sizes = np.where(ramp < 0.5, 0.2, 0.9), 1, [6, 6]
+    else:  # both sides of the only split hold the same targets: zero gain, up to rounding
+        x = np.repeat([[0.0], [1.0]], 3, axis=0)
+        y, min_leaf, sizes = np.array([0.28, 0.16, 0.97, 0.97, 0.16, 0.28]), 1, [6]
+    tree, oracle = _tree_and_oracle(x, y, loss, 1, min_leaf)
+    assert tree == oracle
+    assert _leaf_sizes(tree) == sizes
 
 
 def test_spec_validation():
