@@ -14,6 +14,7 @@ toward y inside a loss-ball of radius beta around the prediction.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -31,6 +32,8 @@ from .solver import (DEFAULT_OPTIONS, ProjectionProblem, SolverOptions,
                      project_blend)
 
 ALGORITHMS = ("affine_extension", "moving_targets")
+
+log = logging.getLogger("confit")
 
 ConstraintSource = Union[ConstraintSet, Callable[[Dataset], ConstraintSet]]
 
@@ -381,8 +384,13 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
                                           report.dual_residual, report.iterations,
                                           False, report.method)
                     fallback = True
-        if config.fail_hard and not report.converged and not fallback:
-            raise ConfitError(f"adjustment solve failed to converge at iteration {i}")
+        if not report.converged and not fallback:
+            if config.fail_hard:
+                raise ConfitError(f"adjustment solve failed to converge at iteration {i}")
+            log.warning("iteration %d: the %s solve stopped unconverged after %d iterations "
+                        "(primal residual %.3g, dual residual %.3g); the refit uses its "
+                        "last iterate", i, report.method, report.iterations,
+                        report.primal_residual, report.dual_residual)
 
         z = report.solution
         model = fit(config.learner, train.x, z, loss)

@@ -133,14 +133,36 @@ def _leaf_value(loss: LossSpec, residual: np.ndarray) -> float:
         return float(residual.mean())
     if loss.kind == "mae":
         return float(np.median(residual))
-    lo, hi = float(residual.min()), float(residual.max())
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gradient(loss, residual - mid).sum() > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _huber_location(residual, loss.huber_m)
+
+
+def _huber_location(residual: np.ndarray, m: float) -> float:
+    """Smallest minimizer c of sum huber(r_i - c) over the residuals r.
+
+    The minimizers are the roots of psi(c) = sum clip(r_i - c, -m, m), which
+    is continuous, non-increasing and linear between the knots r_i -+ m: with
+    L rows at r_i <= c - m, U rows at r_i >= c + m and the rest Q in between,
+    psi(c) = m (U - L) + sum_Q r_i - |Q| c. psi is evaluated at every knot to
+    find the first knot where it is <= 0; the root is on the segment that ends
+    there. If that segment has no row in Q, psi is 0 all along it and its
+    left end is the smallest minimizer.
+    """
+    r = np.sort(residual)
+    n = r.size
+    knots = np.sort(np.concatenate([r - m, r + m]))
+    csum = np.concatenate([[0.0], np.cumsum(r)])
+    low = np.searchsorted(r, knots - m, side="right")
+    high = np.searchsorted(r, knots + m, side="left")
+    psi = m * (n - high - low) + (csum[high] - csum[low]) - knots * (high - low)
+    k = max(int(np.argmax(psi <= 0.0)), 1)  # psi > 0 at the first knot
+    left, right = knots[k - 1], knots[k]
+    mid = 0.5 * (left + right)
+    low = int(np.searchsorted(r, mid - m, side="right"))
+    high = int(np.searchsorted(r, mid + m, side="left"))
+    if high == low:
+        return float(left)
+    c = (m * (n - high - low) + r[low:high].sum()) / (high - low)
+    return float(min(max(c, left), right))
 
 
 def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

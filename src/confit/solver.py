@@ -6,16 +6,22 @@ Three routes, picked automatically:
 
 * squared loss, no auxiliaries, no ball: cyclic projections with Dykstra
   corrections onto bounds and individual rows (the projection is Euclidean);
-* squared loss, no auxiliaries, ball: scalar bisection on the ball multiplier,
-  each evaluation an inner Dykstra projection of the reweighted anchor;
+* squared loss, no auxiliaries, ball: a safeguarded secant search (Illinois
+  regula falsi, bisection when a step leaves the bracket) on the ball
+  multiplier, each evaluation an inner Dykstra projection of the reweighted
+  anchor;
 * everything else (absolute/Huber losses, auxiliary variables, combined
   two-anchor objectives): a primal-dual splitting iteration whose primal step
   is the closed-form loss prox and whose dual blocks are one multiplier per
   linear row plus an optional loss-ball block.
 
+The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
+the operator norm) is built once per ConstraintSet and kept on it.
+
 Warm starts carry primal/dual iterates between consecutive solves (sound for
 the primal-dual route; Dykstra corrections are never reused because they are
-tied to the projected point).
+tied to the projected point) and the ball multiplier between consecutive ball
+solves.
 """
 
 from __future__ import annotations
@@ -70,8 +76,9 @@ class SolverReport:
 
 class _Geometry:
     """Constraint data prepared for the solvers: bounds plus one matrix of
-    unit-normalized rows (equalities flagged), with auxiliary columns rescaled
-    to match the magnitude of their companion z coefficients."""
+    unit-normalized rows (the inequality rows first, then the equalities),
+    with auxiliary columns rescaled to match the magnitude of their companion
+    z coefficients."""
 
     def __init__(self, cs: ConstraintSet):
         self.n = cs.n
@@ -81,10 +88,7 @@ class _Geometry:
         a = np.vstack([r for r in rows if r.shape[0]]) if any(r.shape[0] for r in rows) \
             else np.zeros((0, cs.width))
         b = np.concatenate([cs.b_ineq, cs.b_eq])
-        self.eq_mask = np.concatenate([
-            np.zeros(cs.a_ineq.shape[0], dtype=bool),
-            np.ones(cs.a_eq.shape[0], dtype=bool),
-        ])
+        self.m_ineq = cs.a_ineq.shape[0]
         self.aux_scale = np.ones(cs.n_aux)
         lower = cs.lower.astype(float).copy()
         upper = cs.upper.astype(float).copy()
@@ -112,6 +116,10 @@ class _Geometry:
         self.lower = lower
         self.upper = upper
         self.m = a.shape[0]
+        # floor of the row multipliers: 0 on inequalities, none on equalities
+        self.y_floor = np.where(np.arange(self.m) < self.m_ineq, 0.0, -np.inf)
+        # (row, rhs, is equality) for the Dykstra sweep
+        self.rows = [(a[i], b[i], i >= self.m_ineq) for i in range(self.m)]
         self.op_norm = self._power_norm()
 
     def _power_norm(self) -> float:
@@ -132,35 +140,51 @@ class _Geometry:
                     float(np.max(x - self.upper, initial=0.0)))
         if self.m:
             resid = self.a @ x - self.b
-            worst = max(worst, float(np.max(resid[~self.eq_mask], initial=0.0)))
-            if self.eq_mask.any():
-                worst = max(worst, float(np.max(np.abs(resid[self.eq_mask]), initial=0.0)))
+            worst = max(worst, float(np.max(resid[:self.m_ineq], initial=0.0)),
+                        float(np.max(np.abs(resid[self.m_ineq:]), initial=0.0)))
         return worst
 
 
+def _geometry(cs: ConstraintSet) -> _Geometry:
+    """The prepared geometry of `cs`, built on first use and kept on the set
+    (a ConstraintSet is frozen, so it cannot go stale)."""
+    geom = cs.__dict__.get("_geometry")
+    if geom is None:
+        geom = cs.__dict__["_geometry"] = _Geometry(cs)
+    return geom
+
+
 def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
-    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections."""
+    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections.
+
+    A row whose last step left the point unchanged has a zero correction; it
+    is held as None, so the next sweep skips adding it. That gives the same
+    bits as adding it: x + 0.0 differs from x only where x is -0.0, and x
+    holds no -0.0 unless a bound is -0.0.
+    """
     x = v.copy()
     p_bounds = np.zeros_like(v)
-    p_rows = np.zeros((geom.m, v.size))
+    p_rows = [None] * geom.m
     sweeps = 0
     change = np.inf
     for sweep in range(max_sweeps):
-        x_prev = x.copy()
+        x_prev = x
         w = x + p_bounds
-        x = np.clip(w, geom.lower, geom.upper)
+        x = w.clip(geom.lower, geom.upper)
         p_bounds = w - x
-        for i in range(geom.m):
-            w = x + p_rows[i]
-            resid = geom.a[i] @ w - geom.b[i]
-            if geom.eq_mask[i] or resid > 0.0:
-                x = w - resid * geom.a[i]
+        for i, (a_i, b_i, eq) in enumerate(geom.rows):
+            p_i = p_rows[i]
+            w = x if p_i is None else x + p_i
+            resid = a_i @ w - b_i
+            if eq or resid > 0.0:
+                x = w - resid * a_i
+                p_rows[i] = w - x
             else:
                 x = w
-            p_rows[i] = w - x
+                p_rows[i] = None
         sweeps = sweep + 1
-        change = float(np.max(np.abs(x - x_prev)))
-        if geom.violation(x) <= tol and change <= tol:
+        change = float(np.abs(x - x_prev).max())
+        if change <= tol and geom.violation(x) <= tol:
             break
     return x, sweeps, geom.violation(x), change
 
@@ -170,6 +194,8 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     """Primal-dual iteration: primal prox on z (identity on aux), per-row dual
     ascent, optional loss-ball dual block."""
     n, width, m = geom.n, geom.width, geom.m
+    a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
+    at = a.T
     norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
     nk = np.sqrt(max(norm2, 1e-12))
     tau = 1.0 / nk
@@ -186,41 +212,43 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     if x is None:
         x = np.zeros(width)
         if anchor_start is not None:
-            x[:n] = np.clip(anchor_start, geom.lower[:n], geom.upper[:n])
+            x[:n] = np.clip(anchor_start, lower[:n], upper[:n])
         y = np.zeros(m)
         yb = np.zeros(n) if ball is not None else None
+    if ball is not None:
+        center, beta, spec = ball
     it = 0
     pri = dua = np.inf
     for it in range(1, max_iter + 1):
         x_old = x
-        grad = geom.a.T @ y if m else np.zeros(width)
+        grad = at @ y
         if ball is not None:
             grad[:n] += yb
-        v = x - tau * grad
-        xn = v.copy()
-        xn[:n] = prox_z(v[:n], tau)
-        np.clip(xn, geom.lower, geom.upper, out=xn)
+        xn = x - tau * grad
+        if width > n:
+            xn[:n] = prox_z(xn[:n], tau)
+        else:
+            xn = prox_z(xn, tau)
+        xn.clip(lower, upper, out=xn)
         x_relaxed = 2.0 * xn - x
         y_old = y
-        if m:
-            y = y + sig * (geom.a @ x_relaxed - geom.b)
-            free = geom.eq_mask
-            if not free.all():
-                y[~free] = np.maximum(y[~free], 0.0)
+        y = a @ x_relaxed
+        y -= b
+        y *= sig
+        y += y_old
+        np.maximum(y, y_floor, out=y)
         if ball is not None:
             yb_old = yb
             t2 = yb + sig * x_relaxed[:n]
-            center, beta, spec = ball
             yb = t2 - sig * project_ball(spec, t2 / sig, center, beta)
         x = xn
         if it % 10 == 0 or it == max_iter:
-            p = (x_old - x) / tau - (geom.a.T @ (y_old - y) if m else 0.0)
+            p = (x_old - x) / tau - at @ (y_old - y)
             if ball is not None:
-                p = p.copy()
                 p[:n] -= yb_old - yb
             d_parts = []
             if m:
-                d_parts.append((y_old - y) / sig - geom.a @ (x_old - x))
+                d_parts.append((y_old - y) / sig - a @ (x_old - x))
             if ball is not None:
                 d_parts.append((yb_old - yb) / sig - (x_old - x)[:n])
             dvec = np.concatenate(d_parts) if d_parts else np.zeros(1)
@@ -236,8 +264,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                 elif ratio < 0.1:
                     tau /= 2.0
                     sig *= 2.0
-    state_out = {"kind": "pdhg", "x": x.copy(), "y": y.copy(),
-                 "yb": None if yb is None else yb.copy(), "tau": tau, "sig": sig}
+    state_out = {"kind": "pdhg", "x": x, "y": y, "yb": yb, "tau": tau, "sig": sig}
     return x, pri, dua, it, state_out
 
 
@@ -253,7 +280,7 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
     cs = problem.constraints
     loss = problem.loss
     anchor = np.asarray(problem.anchor, dtype=float)
-    geom = _Geometry(cs)
+    geom = _geometry(cs)
     trust = problem.trust
     if trust is not None:
         center, beta = np.asarray(trust[0], dtype=float), float(trust[1])
@@ -282,7 +309,7 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
                             pri <= opts.tolerance and dua <= opts.tolerance, "pdhg", state)
 
     if loss.kind == "mse" and cs.n_aux == 0:
-        return _ball_bisection_mse(geom, anchor, center, beta, opts, warm)
+        return _ball_multiplier_mse(geom, anchor, center, beta, opts, warm)
     x, pri, dua, it, state = _pdhg(
         geom, lambda v, t: prox_unit(loss, t, v, anchor),
         opts.tolerance, opts.max_iterations, state=warm,
@@ -301,9 +328,20 @@ def project_ball_intersection(loss: LossSpec, anchor, center, beta: float,
     return project(problem, opts, warm)
 
 
-def _ball_bisection_mse(geom: _Geometry, anchor, center, beta, opts, warm):
-    """Squared loss + Euclidean ball: bisection on the ball multiplier nu; the
-    inner problem is the plain projection of (anchor + nu*center)/(1 + nu)."""
+def _ball_multiplier_mse(geom: _Geometry, anchor, center, beta, opts, warm):
+    """Squared loss + Euclidean ball. With the ball active, the solution is
+    z(nu), the plain projection of (anchor + nu*center)/(1 + nu), at the root
+    of phi(nu) = loss(z(nu), center) - beta, which decreases in nu.
+
+    The search keeps a bracket phi(nu_lo) > 0 >= phi(nu_hi), found by
+    growing nu_hi from the previous solve's multiplier, and shrinks it by
+    Illinois regula falsi steps (a secant through the two ends, halving the
+    value kept at an end that survives twice in a row), with bisection
+    whenever the secant point leaves the bracket. It stops once the bracket
+    is 1e-12 wide relative to nu_hi (the bisection it replaces stopped
+    there) or z(nu_hi) meets the ball's boundary to 1e-15 * beta. It returns
+    z(nu_hi), so the solution never leaves the ball.
+    """
     mse = LossSpec("mse")
     tol = opts.tolerance
     total = 0
@@ -313,33 +351,41 @@ def _ball_bisection_mse(geom: _Geometry, anchor, center, beta, opts, warm):
         blend = (anchor + nu * center) / (1.0 + nu)
         x, sweeps, viol, change = _dykstra(geom, blend, tol, opts.max_iterations)
         total += sweeps
-        return x, viol, change
+        return x, viol, change, loss_value(mse, x, center)
 
-    x0, viol, change = inner(0.0)
-    if loss_value(mse, x0, center) <= beta + tol:
+    x, viol, change, value = inner(0.0)
+    if value <= beta + tol:
         converged = viol <= tol and change <= tol
-        return SolverReport(_finish(geom, x0), viol, change, total, converged, "dykstra-ball")
+        return SolverReport(_finish(geom, x), viol, change, total, converged, "dykstra-ball")
+    nu_lo, phi_lo = 0.0, value - beta
     nu_hi = 1.0 if warm is None or warm.get("kind") != "ball-nu" else max(warm["nu"], 1e-6)
-    nu_lo = 0.0
-    while True:
-        x, viol, change = inner(nu_hi)
-        if loss_value(mse, x, center) <= beta:
-            break
-        nu_lo = nu_hi
+    x, viol, change, value = inner(nu_hi)
+    while value > beta and nu_hi <= 1e14:
+        nu_lo, phi_lo = nu_hi, value - beta
         nu_hi *= 4.0
-        if nu_hi > 1e14:
-            break
+        x, viol, change, value = inner(nu_hi)
+    gap_hi = phi_hi = value - beta  # phi_lo and phi_hi may be halved; gap_hi stays exact
+    kept = 0  # +1: the last step moved nu_hi, -1: it moved nu_lo
     for _ in range(200):
-        if nu_hi - nu_lo <= 1e-12 * (1.0 + nu_hi):
+        if gap_hi >= -1e-15 * beta or nu_hi - nu_lo <= 1e-12 * (1.0 + nu_hi):
             break
-        mid = 0.5 * (nu_lo + nu_hi)
-        x, _, _ = inner(mid)
-        if loss_value(mse, x, center) > beta:
-            nu_lo = mid
+        nu = nu_hi - phi_hi * (nu_hi - nu_lo) / (phi_hi - phi_lo)
+        if not nu_lo < nu < nu_hi:
+            nu = 0.5 * (nu_lo + nu_hi)
+        x_nu, viol_nu, change_nu, value = inner(nu)
+        if value > beta:
+            nu_lo, phi_lo = nu, value - beta
+            if kept < 0:
+                phi_hi *= 0.5
+            kept = -1
         else:
-            nu_hi = mid
-    x, viol, change = inner(nu_hi)
-    ball_gap = max(loss_value(mse, x, center) - beta, 0.0)
+            nu_hi, gap_hi = nu, value - beta
+            phi_hi = gap_hi
+            x, viol, change = x_nu, viol_nu, change_nu
+            if kept > 0:
+                phi_lo *= 0.5
+            kept = 1
+    ball_gap = max(gap_hi, 0.0)
     converged = viol <= tol and change <= tol and ball_gap <= tol
     return SolverReport(_finish(geom, x), max(viol, ball_gap), change, total,
                         converged, "dykstra-ball", {"kind": "ball-nu", "nu": nu_hi})
@@ -362,7 +408,7 @@ def project_blend(loss: LossSpec, target, prediction, weight: float,
         raise ValueError(f"weight must be nonnegative, got {weight}")
     if warm is not None and not opts.warm_start:
         warm = None
-    geom = _Geometry(constraints)
+    geom = _geometry(constraints)
     x, pri, dua, it, state = _pdhg(
         geom, lambda v, t: prox_pair(loss, t, v, target, prediction, weight),
         opts.tolerance, opts.max_iterations, state=warm, anchor_start=target)

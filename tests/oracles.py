@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch (loops, grids, generic
 1-D searches) and never calls into the package, so a test that compares the
-package against an oracle is a genuine two-route check.
+package against an oracle is a genuine two-route check. Where an oracle needs
+a package routine (an inner projection, a prox map), the test passes it in,
+and only the part under test is independent.
 """
 
 import numpy as np
@@ -143,6 +145,186 @@ def mse_ball_box_oracle(anchor, center, beta, lo=0.0, hi=1.0, iters=200):
         else:
             nu_hi = mid
     return inner(nu_hi)
+
+
+def ball_multiplier_bisection(project, anchor, center, beta, tol, warm_nu=None):
+    """min ||z - anchor||^2 over a convex set, subject to mean((z - center)^2) <= beta.
+
+    `project(v)` is the Euclidean projection onto the set. The ball is
+    inactive when the plain projection of the anchor lies within beta + tol;
+    otherwise the ball multiplier nu is bracketed by growing it fourfold from
+    `warm_nu` (default 1), then bisected to a relative width of 1e-12, and the
+    projection of (anchor + nu*center)/(1 + nu) at the upper end is returned.
+    Returns (z, nu), with nu None when the ball is inactive.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    center = np.asarray(center, dtype=float)
+
+    def inner(nu):
+        return project((anchor + nu * center) / (1.0 + nu))
+
+    def ball(z):
+        return np.mean((z - center) ** 2)
+
+    z0 = inner(0.0)
+    if ball(z0) <= beta + tol:
+        return z0, None
+    nu_lo, nu_hi = 0.0, 1.0 if warm_nu is None else max(warm_nu, 1e-6)
+    while ball(inner(nu_hi)) > beta:
+        nu_lo = nu_hi
+        nu_hi *= 4.0
+        if nu_hi > 1e14:
+            break
+    for _ in range(200):
+        if nu_hi - nu_lo <= 1e-12 * (1.0 + nu_hi):
+            break
+        mid = 0.5 * (nu_lo + nu_hi)
+        if ball(inner(mid)) > beta:
+            nu_lo = mid
+        else:
+            nu_hi = mid
+    return inner(nu_hi), nu_hi
+
+
+def huber_location_bisection(residual, m, steps=80):
+    """argmin_c sum huber(residual_i - c), by bisecting the sign of the
+    derivative sum 2*clip(residual_i - c, -m, m) over [min, max]."""
+    residual = np.asarray(residual, dtype=float)
+    lo, hi = float(residual.min()), float(residual.max())
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if (2.0 * np.clip(residual - mid, -m, m)).sum() > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def dykstra_reference(geom, v, tol, max_sweeps):
+    """Cyclic Dykstra projection as first written, before its sweep was
+    trimmed: the bounds, then each row of `geom` in turn (inequalities first,
+    `m_ineq` of them), every row keeping a dense correction vector.
+    Returns (x, sweeps, violation, last change)."""
+    eq_mask = np.arange(geom.m) >= geom.m_ineq
+
+    def violation(x):
+        worst = max(float(np.max(geom.lower - x, initial=0.0)),
+                    float(np.max(x - geom.upper, initial=0.0)))
+        if geom.m:
+            resid = geom.a @ x - geom.b
+            worst = max(worst, float(np.max(resid[~eq_mask], initial=0.0)))
+            if eq_mask.any():
+                worst = max(worst, float(np.max(np.abs(resid[eq_mask]), initial=0.0)))
+        return worst
+
+    x = v.copy()
+    p_bounds = np.zeros_like(v)
+    p_rows = np.zeros((geom.m, v.size))
+    sweeps = 0
+    change = np.inf
+    for sweep in range(max_sweeps):
+        x_prev = x.copy()
+        w = x + p_bounds
+        x = np.clip(w, geom.lower, geom.upper)
+        p_bounds = w - x
+        for i in range(geom.m):
+            w = x + p_rows[i]
+            resid = geom.a[i] @ w - geom.b[i]
+            if eq_mask[i] or resid > 0.0:
+                x = w - resid * geom.a[i]
+            else:
+                x = w
+            p_rows[i] = w - x
+        sweeps = sweep + 1
+        change = float(np.max(np.abs(x - x_prev)))
+        if violation(x) <= tol and change <= tol:
+            break
+    return x, sweeps, violation(x), change
+
+
+def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
+                   project_ball=None):
+    """The primal-dual iteration as first written, before its per-iteration
+    work was trimmed: primal prox on z (identity on aux), per-row dual ascent
+    with the inequality multipliers clipped at 0 through a mask, an optional
+    loss-ball dual block, and tau/sigma rebalanced every 50 iterations.
+
+    `geom` carries the prepared rows (`a`, `b`, inequalities first, `m_ineq`
+    of them), the bounds, `n`, `width`, `m` and `op_norm`; `ball` is
+    (center, beta, spec), and `project_ball(spec, v, center, beta)` projects
+    onto it.
+    """
+    n, width, m = geom.n, geom.width, geom.m
+    eq_mask = np.arange(m) >= geom.m_ineq
+    norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
+    nk = np.sqrt(max(norm2, 1e-12))
+    tau = 1.0 / nk
+    sig = 1.0 / nk
+    x = None
+    if state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
+            and state["x"].size == width and state["y"].size == m \
+            and (ball is None) == (state.get("yb") is None):
+        x = state["x"].copy()
+        y = state["y"].copy()
+        yb = state["yb"].copy() if state.get("yb") is not None else None
+        tau = state.get("tau", tau)
+        sig = state.get("sig", sig)
+    if x is None:
+        x = np.zeros(width)
+        if anchor_start is not None:
+            x[:n] = np.clip(anchor_start, geom.lower[:n], geom.upper[:n])
+        y = np.zeros(m)
+        yb = np.zeros(n) if ball is not None else None
+    it = 0
+    pri = dua = np.inf
+    for it in range(1, max_iter + 1):
+        x_old = x
+        grad = geom.a.T @ y if m else np.zeros(width)
+        if ball is not None:
+            grad[:n] += yb
+        v = x - tau * grad
+        xn = v.copy()
+        xn[:n] = prox_z(v[:n], tau)
+        np.clip(xn, geom.lower, geom.upper, out=xn)
+        x_relaxed = 2.0 * xn - x
+        y_old = y
+        if m:
+            y = y + sig * (geom.a @ x_relaxed - geom.b)
+            free = eq_mask
+            if not free.all():
+                y[~free] = np.maximum(y[~free], 0.0)
+        if ball is not None:
+            yb_old = yb
+            t2 = yb + sig * x_relaxed[:n]
+            center, beta, spec = ball
+            yb = t2 - sig * project_ball(spec, t2 / sig, center, beta)
+        x = xn
+        if it % 10 == 0 or it == max_iter:
+            p = (x_old - x) / tau - (geom.a.T @ (y_old - y) if m else 0.0)
+            if ball is not None:
+                p = p.copy()
+                p[:n] -= yb_old - yb
+            d_parts = []
+            if m:
+                d_parts.append((y_old - y) / sig - geom.a @ (x_old - x))
+            if ball is not None:
+                d_parts.append((yb_old - yb) / sig - (x_old - x)[:n])
+            dvec = np.concatenate(d_parts) if d_parts else np.zeros(1)
+            pri = float(np.linalg.norm(p) / np.sqrt(width))
+            dua = float(np.linalg.norm(dvec) / np.sqrt(max(dvec.size, 1)))
+            if pri <= tol and dua <= tol:
+                break
+            if it % 50 == 0 and pri > 0 and dua > 0:
+                ratio = pri / dua
+                if ratio > 10.0:
+                    tau *= 2.0
+                    sig /= 2.0
+                elif ratio < 0.1:
+                    tau /= 2.0
+                    sig *= 2.0
+    state_out = {"kind": "pdhg", "x": x.copy(), "y": y.copy(),
+                 "yb": None if yb is None else yb.copy(), "tau": tau, "sig": sig}
+    return x, pri, dua, it, state_out
 
 
 def hat_matrix(x):

@@ -1,3 +1,6 @@
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -205,3 +208,27 @@ def test_run_config_validation():
         ds = make_dataset(rng, n=4)
         run_moving_targets(RunConfig(alpha=0.0, constraints=cs, algorithm="moving_targets"),
                            ds, ds)
+
+
+def test_unconverged_solve_logs_one_warning(caplog):
+    rng = np.random.default_rng(21)
+    ds = make_dataset(rng, n=10)
+    cs = tight_polytope(rng, 10)
+    config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=6, loss=MAE,
+                       learner=RIDGE0, solver=SolverOptions(tolerance=1e-12, max_iterations=1))
+    with caplog.at_level(logging.WARNING, logger="confit"):
+        history = run_affine_extension(config, ds, ds)
+    unconverged = [r for r in history.records if not r.solver_converged and not r.fallback]
+    assert unconverged
+    warnings = [r for r in caplog.records if r.name == "confit"]
+    assert len(warnings) == len(unconverged)
+    for rec, warning in zip(unconverged, warnings):
+        message = warning.getMessage()
+        assert warning.levelno == logging.WARNING
+        assert message.startswith(f"iteration {rec.i}: the {rec.solver_method} solve")
+        assert f"primal residual {rec.solver_primal:.3g}" in message
+        assert f"dual residual {rec.solver_dual:.3g}" in message
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="confit"):
+        run_affine_extension(replace(config, solver=TIGHT), ds, ds)
+    assert not caplog.records

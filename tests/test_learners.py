@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confit.learners import (FittedModel, LearnerSpec, _leaf_value, fit, predict,
                              range_projection_fit, training_curve)
 from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
-from oracles import best_stump_brute, hat_matrix, sorted_scan_tree
+from oracles import best_stump_brute, hat_matrix, huber_location_bisection, sorted_scan_tree
 
 HUBER = LossSpec("huber")
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
@@ -144,6 +144,49 @@ def test_gbt_training_loss_non_increasing(loss):
     y = np.clip(x @ np.array([0.5, -0.2, 0.3, 0.1]) + 0.2 + 0.05 * rng.standard_normal(80), 0, 1)
     curve = training_curve(LearnerSpec("gbt", n_trees=40, max_depth=2), x, y, loss)
     assert np.all(np.diff(curve) <= 1e-12)
+
+
+@st.composite
+def huber_leaves(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 60))
+    levels = draw(st.sampled_from([None, 2, 3, 5]))  # few levels: ties and flat minima
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+    r = rng.standard_normal(n) if levels is None else rng.integers(0, levels, n) / 2.0
+    return scale * r + draw(st.sampled_from([0.0, -0.5, 4.0])), draw(st.sampled_from([0.01, 0.1, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(huber_leaves())
+@example((np.array([-1.0, -0.9, 0.1, 1.0]), 0.3))  # flat minimum: all of [-0.6, -0.2]
+def test_huber_leaf_value_matches_bisection_oracle(leaf):
+    residual, m = leaf
+    got = _leaf_value(LossSpec("huber", huber_m=m), residual)
+    want = huber_location_bisection(residual, m)
+    span = float(residual.max() - residual.min())
+    slack = 1e-9 * span + 4 * np.finfo(float).eps * float(np.abs(residual).max())
+    if abs(got - want) > slack:
+        # the sum is flat at its minimum, where the oracle's rounded derivative
+        # sums may stop anywhere: both ends must bound a stretch that no
+        # residual comes within m of, and `got` must be its left end
+        lo, hi = min(got, want), max(got, want)
+        assert not np.any((residual > lo - m + slack) & (residual < hi + m - slack))
+        assert got < want
+        assert np.any(np.isclose(residual, got - m, rtol=0, atol=slack))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([0.01, 0.1, 0.5]),
+       rate=st.sampled_from([0.1, 0.5, 1.0]))
+def test_gbt_huber_training_loss_never_increases(seed, m, rate):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0, 1, (60, 3)), 1)
+    y = rng.uniform(0, 1, 60) + (rng.uniform(0, 1, 60) < 0.1) * 3.0  # a few outliers
+    loss = LossSpec("huber", huber_m=m)
+    spec = LearnerSpec("gbt", n_trees=15, max_depth=3, learning_rate=rate, min_samples_leaf=2)
+    curve = training_curve(spec, x, y, loss)
+    start = loss_value(loss, np.full(60, y.mean()), y)
+    assert np.all(np.diff(np.concatenate([[start], curve])) <= 1e-12)
 
 
 def test_gbt_base_prediction_is_target_mean():

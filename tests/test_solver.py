@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import confit.solver as solver
 from confit.constraints import (build_box, build_didi_constraints,
                                 from_inequalities, intersect, is_member)
 from confit.data import ProtectedSpec
-from confit.losses import LossSpec, MSE, MAE, loss_value, pointwise
+from confit.losses import LossSpec, MSE, MAE, loss_value, pointwise, project_ball
 from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
                            project, project_ball_intersection, project_blend)
-from oracles import grid_search_2d, grid_search_3d, mse_ball_box_oracle
+from oracles import (ball_multiplier_bisection, dykstra_reference, grid_search_2d,
+                     grid_search_3d, mse_ball_box_oracle, pdhg_reference)
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -264,3 +267,143 @@ def test_dimension_checks():
         ProjectionProblem(MSE, np.zeros(2), cs, trust=(np.zeros(3), 0.1))
     with pytest.raises(ValueError):
         ProjectionProblem(MSE, np.zeros(2), cs, trust=(np.zeros(2), -0.1))
+
+
+BALL_OPTS = SolverOptions(tolerance=1e-10, max_iterations=300000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([10, 50]),
+       scale=st.sampled_from([0.2, 0.6, 0.95, 1.05, 2.0]),
+       warm=st.sampled_from([None, 0.1, 0.7, 1.5, 10.0]))
+def test_mse_ball_secant_matches_bisection_oracle(seed, n, scale, warm):
+    # a polytope shaped like acceptance criterion 1's; beta is `scale` times
+    # the threshold at which the ball turns active, and the warm multiplier
+    # is `warm` times the oracle's root (below or above it)
+    rng = np.random.default_rng(seed)
+    cs = random_polytope(rng, n, int(rng.integers(5, 21)), margin=(0.01, 0.1))
+    anchor = rng.uniform(0, 1, n)
+    center = project(ProjectionProblem(MSE, rng.uniform(-0.5, 1.5, n), cs), BALL_OPTS).solution
+    geom = solver._geometry(cs)
+
+    def inner(v):
+        return dykstra_reference(geom, v, BALL_OPTS.tolerance, BALL_OPTS.max_iterations)[0]
+
+    beta = scale * loss_value(MSE, inner(anchor), center)
+    want, nu = ball_multiplier_bisection(inner, anchor, center, beta, BALL_OPTS.tolerance)
+    state = None if warm is None or nu is None else {"kind": "ball-nu", "nu": warm * nu}
+    rep = project_ball_intersection(MSE, anchor, center, beta, cs, BALL_OPTS, state)
+    assert rep.method == "dykstra-ball" and rep.converged
+    assert is_member(cs, rep.solution, tol=1e-6)
+    assert loss_value(MSE, rep.solution, center) <= beta + BALL_OPTS.tolerance
+    assert np.max(np.abs(rep.solution - want)) <= 1e-8
+    assert (rep.state is None) == (nu is None)
+
+
+def test_dykstra_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        n = int(rng.integers(2, 30))
+        a = rng.standard_normal((int(rng.integers(0, 12)), n))
+        b = a @ np.full(n, 0.5) + rng.uniform(0.0, 0.3, a.shape[0])
+        a_eq = rng.standard_normal((trial % 3, n))
+        cs = from_inequalities(a, b, n, a_eq=a_eq, b_eq=a_eq @ np.full(n, 0.5),
+                               lower=np.zeros(n), upper=np.ones(n))
+        geom = solver._geometry(cs)
+        v = rng.uniform(-1.0, 2.0, n)
+        for tol, sweeps in ((1e-10, 100000), (1e-3, 100000), (1e-10, 3)):
+            got = solver._dykstra(geom, v, tol, sweeps)
+            want = dykstra_reference(geom, v, tol, sweeps)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _pdhg_cases():
+    """(route, solve(opts, warm, shift)) per primal-dual route and loss; the
+    anchor is shifted by `shift` (clipped to [-1, 2])."""
+    rng = np.random.default_rng(9)
+    poly = random_polytope(rng, 8, 10)
+    anchor = rng.uniform(-0.5, 1.5, 8)
+    center = poly.feasible_point
+    protected = (ProtectedSpec(0, {0: np.arange(5), 1: np.arange(5, 10)}),)
+    didi = intersect(build_didi_constraints(protected, 0.05, 10), build_box(0.0, 1.0, 10))
+    y = np.clip(rng.uniform(0, 1, 10) + np.repeat([0.4, 0.0], 5), 0, 1)
+    didi_center = np.full(10, 0.5)
+    level = intersect(poly, from_inequalities(np.zeros((0, 8)), np.zeros(0), 8,
+                                              a_eq=np.ones((1, 8)), b_eq=[3.5]))
+
+    def plain(spec, cs, target):
+        return lambda opts, warm, shift: project(
+            ProjectionProblem(spec, np.clip(target + shift, -1, 2), cs), opts, warm)
+
+    def ball(spec, cs, target, mid, beta):
+        return lambda opts, warm, shift: project_ball_intersection(
+            spec, np.clip(target + shift, -1, 2), mid, beta, cs, opts, warm)
+
+    def blend(spec, cs, target, prediction):
+        return lambda opts, warm, shift: project_blend(
+            spec, np.clip(target + shift, -1, 2), prediction, 0.5, cs, opts, warm)
+
+    return [
+        pytest.param("pdhg", plain(MAE, poly, anchor), id="pdhg-mae"),
+        pytest.param("pdhg", plain(HUBER, poly, anchor), id="pdhg-huber"),
+        pytest.param("pdhg", plain(MSE, didi, y), id="pdhg-mse-didi"),
+        pytest.param("pdhg", plain(MAE, level, anchor - 0.6), id="pdhg-mae-equality"),
+        pytest.param("pdhg-ball", ball(MAE, poly, anchor, center, 0.02), id="pdhg-ball-mae"),
+        pytest.param("pdhg-ball", ball(MSE, didi, y, didi_center, 0.01),
+                     id="pdhg-ball-mse-didi"),
+        pytest.param("pdhg-blend", blend(MAE, poly, anchor, center), id="pdhg-blend-mae"),
+        pytest.param("pdhg-blend", blend(MSE, didi, y, didi_center), id="pdhg-blend-mse-didi"),
+    ]
+
+
+def _same_report(got, want):
+    assert got.method == want.method
+    assert np.array_equal(got.solution, want.solution)
+    assert (got.iterations, got.primal_residual, got.dual_residual, got.converged) == \
+        (want.iterations, want.primal_residual, want.dual_residual, want.converged)
+    for key in ("x", "y", "yb"):
+        assert (got.state[key] is None) == (want.state[key] is None)
+        if got.state[key] is not None:
+            assert np.array_equal(got.state[key], want.state[key])
+    assert (got.state["tau"], got.state["sig"]) == (want.state["tau"], want.state["sig"])
+
+
+@pytest.mark.parametrize("opts", [SolverOptions(tolerance=1e-9, max_iterations=4000),
+                                  SolverOptions(tolerance=1e-12, max_iterations=137)],
+                         ids=["converging", "capped"])
+@pytest.mark.parametrize("route,solve", _pdhg_cases())
+def test_pdhg_matches_reference_bit_for_bit(route, solve, opts, monkeypatch):
+    # cold, then warm-started from the cold state on a drifted anchor
+    cold = solve(opts, None, 0.0)
+    warm = solve(opts, cold.state, 0.01)
+    assert cold.method == warm.method == route
+
+    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None):
+        return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
+                              project_ball)
+
+    monkeypatch.setattr(solver, "_pdhg", reference)
+    cold_ref = solve(opts, None, 0.0)
+    _same_report(cold, cold_ref)
+    _same_report(warm, solve(opts, cold_ref.state, 0.01))
+
+
+def test_geometry_built_once_per_constraint_set(monkeypatch):
+    built = []
+    original = solver._Geometry
+
+    def counting(cs):
+        built.append(cs)
+        return original(cs)
+
+    monkeypatch.setattr(solver, "_Geometry", counting)
+    rng = np.random.default_rng(10)
+    cs = random_polytope(rng, 6, 8)
+    for spec in ALL:
+        lipschitz_probe(spec, cs, samples=3, seed=1)
+        project_blend(spec, rng.uniform(0, 1, 6), rng.uniform(0, 1, 6), 1.0, cs)
+        project_ball_intersection(spec, rng.uniform(0, 1, 6), cs.feasible_point, 0.01, cs)
+    assert built == [cs]
+    other = random_polytope(rng, 6, 8)
+    project(ProjectionProblem(MAE, rng.uniform(-1, 2, 6), other))
+    assert len(built) == 2 and built[1] is other
