@@ -6,9 +6,9 @@ diagnostics, disparate-impact fairness constraints, a combined-objective
 baseline, and a CLI for cross-validated dataset experiments.
 """
 
-from .constraints import (ConstraintSet, DidiSpec, build_box,
-                          build_didi_constraints, didi_epsilon, didi_value,
-                          from_inequalities, intersect, is_member)
+from .constraints import (ConstraintSet, build_box, build_didi_constraints,
+                          didi_epsilon, didi_value, from_inequalities,
+                          intersect, is_member)
 from .data import (ColumnRoles, Dataset, ProtectedSpec, RawTable,
                    apply_normalization, build_protected, fold_indices,
                    kfold_split, load_csv, normalize, ordinal_encode)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColumnRoles", "ConfigError", "ConfitError", "ConstraintSet",
-    "ContractionVerdict", "DataError", "Dataset", "DidiSpec", "FittedModel",
+    "ContractionVerdict", "DataError", "Dataset", "FittedModel",
     "FoldSummary", "InfeasibleConstraintsError", "IterationHistory",
     "IterationRecord", "LearnerSpec", "LossSpec", "ProjectionProblem",
     "ProtectedSpec", "RawTable", "RunConfig", "SolverOptions", "SolverReport",

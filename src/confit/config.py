@@ -226,11 +226,7 @@ def load_config(path) -> ExperimentConfig:
 def validate_dataset_columns(cfg: ExperimentConfig) -> list[str]:
     """Check the dataset file exists and every referenced column is in its
     header; returns the header. Raises ConfigError otherwise."""
-    path = Path(cfg.dataset.path)
-    if not path.is_absolute() and cfg.source_path is not None:
-        candidate = Path(cfg.source_path).parent / path
-        if candidate.exists():
-            path = candidate
+    path = resolved_dataset_path(cfg)
     if not path.exists():
         raise ConfigError(f"dataset.path: no such file: {cfg.dataset.path}")
     with open(path, newline="", encoding="utf-8") as fh:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ProtectedSpec
 from .errors import InfeasibleConstraintsError
 
 DEFAULT_MEMBER_TOL = 1e-6
@@ -53,20 +52,6 @@ class ConstraintSet:
         if self.n_aux == 0:
             return z
         return np.concatenate([z, np.abs(self.aux_abs @ z)])
-
-
-@dataclass(frozen=True)
-class DidiSpec:
-    """Disparate-impact constraint description: bound the index by epsilon,
-    where epsilon is typically a fraction of the training target's index."""
-
-    protected: tuple[ProtectedSpec, ...]
-    epsilon: float
-    fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 def didi_value(z: np.ndarray, protected) -> float:

@@ -203,6 +203,14 @@ def _to_float(cell, column: str, rownum: int) -> float:
         ) from None
 
 
+def _float_grid(table: RawTable) -> np.ndarray:
+    grid = np.empty((table.n, table.d), dtype=float)
+    for i, row in enumerate(table.rows):
+        for j, cell in enumerate(row):
+            grid[i, j] = _to_float(cell, table.columns[j], i + 1)
+    return grid
+
+
 def _normalize_column(values: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
@@ -214,10 +222,7 @@ def normalize(table: RawTable, target_column) -> Dataset:
     """Map every column affinely onto [0,1] (constant columns to 0.0) and split
     off the target, keeping the (min, max) pairs for the inverse transform."""
     tgt = table.column_index(target_column)
-    grid = np.empty((table.n, table.d), dtype=float)
-    for i, row in enumerate(table.rows):
-        for j, cell in enumerate(row):
-            grid[i, j] = _to_float(cell, table.columns[j], i + 1)
+    grid = _float_grid(table)
     feature_cols = [j for j in range(table.d) if j != tgt]
     x = np.empty((table.n, len(feature_cols)))
     ranges = []
@@ -247,10 +252,7 @@ def apply_normalization(table: RawTable, target_column, reference: Dataset) -> D
     names = [table.columns[j] for j in feature_cols]
     if names != reference.feature_names:
         raise DataError("feature columns do not match the reference dataset")
-    grid = np.empty((table.n, table.d), dtype=float)
-    for i, row in enumerate(table.rows):
-        for j, cell in enumerate(row):
-            grid[i, j] = _to_float(cell, table.columns[j], i + 1)
+    grid = _float_grid(table)
 
     def apply_range(values, rng):
         lo, hi = rng

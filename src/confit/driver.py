@@ -14,16 +14,17 @@ toward y inside a loss-ball of radius beta around the prediction.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Union, get_type_hints
 
 import numpy as np
 
 from .constraints import ConstraintSet, didi_value, is_member
 from .data import Dataset
-from .errors import ConfitError
+from .errors import ConfitError, DataError
 from .learners import LearnerSpec, fit, predict
 from .losses import LossSpec, loss_norm
 from .metrics import r_squared
@@ -167,110 +168,87 @@ class IterationHistory:
         return self.records[-1].yhat_next if self.records else self.initial.yhat
 
     def to_records(self) -> list[dict]:
-        meta = {
-            "type": "meta",
-            "algorithm": self.algorithm,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "iterations": self.iterations,
-            "loss": {"kind": self.loss.kind, "huber_m": self.loss.huber_m},
-            "learner": {
-                "kind": self.learner.kind,
-                "ridge_lambda": self.learner.ridge_lambda,
-                "n_trees": self.learner.n_trees,
-                "max_depth": self.learner.max_depth,
-                "learning_rate": self.learner.learning_rate,
-                "min_samples_leaf": self.learner.min_samples_leaf,
-                "seed": self.learner.seed,
-            },
-            "seed": self.seed,
-            "norm": self.norm,
-            "verdict": {
-                "verdict": self.verdict.verdict,
-                "alpha_bound": self.verdict.alpha_bound,
-                "lipschitz_constant": self.verdict.lipschitz_constant,
-                "note": self.verdict.note,
-            },
-            "stopped_early": self.stopped_early,
-            "branch_counts": self.branch_counts,
-        }
-        initial = {
-            "type": "initial",
-            "i": 0,
-            "r2_train": _none_if_nan(self.initial.r2_train),
-            "r2_test": _none_if_nan(self.initial.r2_test),
-            "c_train": _none_if_nan(self.initial.c_train),
-            "c_test": _none_if_nan(self.initial.c_test),
-            "yhat": self.initial.yhat.tolist(),
-        }
-        out = [meta, initial]
-        for r in self.records:
-            out.append({
-                "type": "iteration",
-                "i": r.i,
-                "branch": r.branch,
-                "z": r.z.tolist(),
-                "yhat": r.yhat.tolist(),
-                "yhat_next": r.yhat_next.tolist(),
-                "r2_train": _none_if_nan(r.r2_train),
-                "r2_test": _none_if_nan(r.r2_test),
-                "c_train": _none_if_nan(r.c_train),
-                "c_test": _none_if_nan(r.c_test),
-                "residual": r.residual,
-                "contraction": _none_if_nan(r.contraction),
-                "solver_method": r.solver_method,
-                "solver_iterations": r.solver_iterations,
-                "solver_converged": r.solver_converged,
-                "solver_primal": r.solver_primal,
-                "solver_dual": r.solver_dual,
-                "fallback": r.fallback,
-            })
-        return out
+        """The history as format-1 records: one meta record, one initial record,
+        then one record per adjustment step."""
+        meta = {"type": "meta", **encode_fields(self, exclude=("initial", "records")),
+                "branch_counts": self.branch_counts}
+        return [meta, {"type": "initial", "i": 0, **encode_fields(self.initial)},
+                *({"type": "iteration", **encode_fields(r)} for r in self.records)]
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "IterationHistory":
-        meta = records[0]
-        if meta.get("type") != "meta":
-            raise ConfitError("history stream must start with a meta record")
-        initial_rec = records[1]
-        if initial_rec.get("type") != "initial":
-            raise ConfitError("history stream must carry an initial record")
-        loss = LossSpec(meta["loss"]["kind"], meta["loss"]["huber_m"])
-        learner = LearnerSpec(**meta["learner"])
-        verdict = ContractionVerdict(**meta["verdict"])
-        initial = InitialRecord(
-            r2_train=_nan_if_none(initial_rec["r2_train"]),
-            r2_test=_nan_if_none(initial_rec["r2_test"]),
-            c_train=_nan_if_none(initial_rec["c_train"]),
-            c_test=_nan_if_none(initial_rec["c_test"]),
-            yhat=np.array(initial_rec["yhat"]))
-        history = cls(algorithm=meta["algorithm"], alpha=meta["alpha"], beta=meta["beta"],
-                      iterations=meta["iterations"], loss=loss, learner=learner,
-                      seed=meta["seed"], norm=meta["norm"], verdict=verdict,
-                      initial=initial, stopped_early=meta["stopped_early"])
+        """Inverse of `to_records`; malformed records raise DataError."""
+        if len(records) < 2 or records[0].get("type") != "meta" \
+                or records[1].get("type") != "initial":
+            raise DataError("history stream must start with a meta record "
+                            "and then an initial record")
         for rec in records[2:]:
             if rec.get("type") != "iteration":
-                raise ConfitError(f"unexpected record type {rec.get('type')!r}")
-            history.records.append(IterationRecord(
-                i=rec["i"], branch=rec["branch"], z=np.array(rec["z"]),
-                yhat=np.array(rec["yhat"]), yhat_next=np.array(rec["yhat_next"]),
-                r2_train=_nan_if_none(rec["r2_train"]), r2_test=_nan_if_none(rec["r2_test"]),
-                c_train=_nan_if_none(rec["c_train"]), c_test=_nan_if_none(rec["c_test"]),
-                residual=rec["residual"], contraction=_nan_if_none(rec["contraction"]),
-                solver_method=rec["solver_method"],
-                solver_iterations=rec["solver_iterations"],
-                solver_converged=rec["solver_converged"],
-                solver_primal=rec["solver_primal"], solver_dual=rec["solver_dual"],
-                fallback=rec["fallback"]))
-        return history
+                raise DataError(f"unexpected record type {rec.get('type')!r}")
+        return decode_fields(cls, records[0],
+                             initial=decode_fields(InitialRecord, records[1]),
+                             records=[decode_fields(IterationRecord, r) for r in records[2:]])
 
 
-def _none_if_nan(value: float):
-    return None if isinstance(value, float) and np.isnan(value) else value
+def encode_fields(obj, exclude=()) -> dict:
+    """A dataclass as a JSON-ready dict: its fields in declaration order, arrays
+    as lists, NaN as None, tuples as lists and nested dataclasses as dicts."""
+    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)
+            if f.name not in exclude}
 
 
-def _nan_if_none(value) -> float:
-    return float("nan") if value is None else value
+def _encode(value):
+    if isinstance(value, float):
+        return None if value != value else value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if is_dataclass(value):
+        return encode_fields(value)
+    return value
+
+
+def decode_fields(cls, data, **given):
+    """Inverse of `encode_fields`: each field of `cls` is read from `data` and
+    converted by its declared type, except those passed in `given`. A None in
+    a float field becomes NaN; a missing field or a value of the wrong type
+    raises DataError. Keys of `data` that are not fields are ignored."""
+    values = dict(given)
+    for name, convert in _decoding_plan(cls):
+        if name in values:
+            continue
+        if name not in data:
+            raise DataError(f"{cls.__name__}: missing field {name!r}")
+        try:
+            values[name] = convert(data[name])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{cls.__name__}.{name}: {exc}") from None
+    return cls(**values)
+
+
+@functools.cache
+def _decoding_plan(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _converter(hints[f.name])) for f in fields(cls))
+
+
+def _converter(hint):
+    if hint is np.ndarray:
+        return lambda v: np.array(_checked(v, list), dtype=float)
+    if is_dataclass(hint):
+        return lambda v: decode_fields(hint, v)
+    if hint is float:
+        return lambda v: float("nan") if v is None else _checked(v, (int, float))
+    if hint in (int, bool, str):
+        return lambda v: _checked(v, hint)
+    return lambda v: v
+
+
+def _checked(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"unexpected value of type {type(value).__name__}")
+    return value
 
 
 def _resolve_constraints(source: ConstraintSource, train: Dataset) -> ConstraintSet:

@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, resolved_dataset_path, validate_dataset_columns
-from .constraints import (ConstraintSet, DidiSpec, build_box,
-                          build_didi_constraints, didi_value, intersect)
+from .constraints import (ConstraintSet, build_box, build_didi_constraints,
+                          didi_value, intersect)
 from .data import (ColumnRoles, Dataset, apply_normalization, fold_indices,
-                   load_csv, normalize, ordinal_encode)
-from .driver import IterationHistory, RunConfig, run
+                   kfold_split, load_csv, normalize, ordinal_encode)
+from .driver import IterationHistory, RunConfig, encode_fields, run
 from .errors import ConfitError, DataError
 from .metrics import SERIES_NAMES, FoldSummary, significance_flag, summarize_folds
 
@@ -58,16 +58,13 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
         indices = [ds.feature_names.index(name) for name in protected_names]
         return ds.with_protected(indices)
 
-    folds = fold_indices(table.n, cfg.run.folds, cfg.run.seed)
-    all_rows = np.arange(table.n)
-    out = []
     if cfg.run.normalization == "full":
         full = attach_protected(normalize(table, cfg.dataset.target))
-        for j, test_rows in enumerate(folds):
-            train_rows = np.setdiff1d(all_rows, test_rows)
-            out.append(FoldData(j, full.select(train_rows), full.select(test_rows)))
-        return out
-    for j, test_rows in enumerate(folds):
+        return [FoldData(j, train, test) for j, (train, test)
+                in enumerate(kfold_split(full, cfg.run.folds, cfg.run.seed))]
+    all_rows = np.arange(table.n)
+    out = []
+    for j, test_rows in enumerate(fold_indices(table.n, cfg.run.folds, cfg.run.seed)):
         train_rows = np.setdiff1d(all_rows, test_rows)
         train = attach_protected(normalize(table.select_rows(train_rows), cfg.dataset.target))
         test = attach_protected(apply_normalization(table.select_rows(test_rows),
@@ -87,9 +84,7 @@ def build_constraints(cfg: ExperimentConfig, train: Dataset) -> ConstraintSet:
                 raise DataError("training disparate-impact index is zero; the "
                                 "fractional constraint is vacuous")
             eps = cfg.constraint.fraction * base
-        spec = DidiSpec(protected=train.protected, epsilon=eps,
-                        fraction=cfg.constraint.fraction or 1.0)
-        parts.append(build_didi_constraints(spec.protected, spec.epsilon, train.n))
+        parts.append(build_didi_constraints(train.protected, eps, train.n))
     if cfg.constraint.box is not None:
         parts.append(build_box(cfg.constraint.box[0], cfg.constraint.box[1], train.n))
     if not parts:
@@ -161,27 +156,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         write_history_file(path, cfg, algorithm, alpha, histories)
         artifacts["histories"].append(str(path))
         summary = summarize_folds(histories)
-        for j, h in enumerate(histories):
-            summary_rows.append({
-                "algorithm": algorithm, "alpha": alpha, "fold": j, "kind": "fold",
-                **{name: summary.finals[name][j] for name in SERIES_NAMES},
-            })
-        summary_rows.append({
-            "algorithm": algorithm, "alpha": alpha, "fold": "", "kind": "mean",
-            **{name: summary.mean[name] for name in SERIES_NAMES},
-        })
-        summary_rows.append({
-            "algorithm": algorithm, "alpha": alpha, "fold": "", "kind": "std",
-            **{name: summary.std[name] for name in SERIES_NAMES},
-        })
+        summary_rows += [(algorithm, alpha, j, "fold", {name: summary.finals[name][j]
+                                                        for name in SERIES_NAMES})
+                         for j in range(len(histories))]
+        summary_rows += [(algorithm, alpha, "", "mean", summary.mean),
+                         (algorithm, alpha, "", "std", summary.std)]
         meta_runs.append({
             "algorithm": algorithm, "alpha": alpha, "history_file": fname,
-            "verdict": histories[0].to_records()[0]["verdict"],
+            "verdict": encode_fields(histories[0].verdict),
             "branch_counts": [h.branch_counts for h in histories],
         })
     _write_summary_csv(out / "summary.csv", summary_rows)
     meta = {
-        "config": _config_echo(cfg),
+        "config": encode_fields(cfg, exclude=("output_dir", "source_path")),
         "seed": cfg.run.seed,
         "runs": meta_runs,
     }
@@ -190,42 +177,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     return artifacts
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": {
-            "path": cfg.dataset.path, "target": cfg.dataset.target,
-            "protected": list(cfg.dataset.protected), "drop": list(cfg.dataset.drop),
-            "categorical": list(cfg.dataset.categorical),
-        },
-        "constraint": {
-            "fraction": cfg.constraint.fraction, "epsilon": cfg.constraint.epsilon,
-            "box": list(cfg.constraint.box) if cfg.constraint.box else None,
-        },
-        "run": {
-            "loss": {"kind": cfg.run.loss.kind, "huber_m": cfg.run.loss.huber_m},
-            "alphas": list(cfg.run.alphas), "beta": cfg.run.beta,
-            "iterations": cfg.run.iterations,
-            "learner": {
-                "kind": cfg.run.learner.kind, "ridge_lambda": cfg.run.learner.ridge_lambda,
-                "n_trees": cfg.run.learner.n_trees, "max_depth": cfg.run.learner.max_depth,
-                "learning_rate": cfg.run.learner.learning_rate,
-                "min_samples_leaf": cfg.run.learner.min_samples_leaf,
-                "seed": cfg.run.learner.seed,
-            },
-            "algorithms": list(cfg.run.algorithms), "folds": cfg.run.folds,
-            "seed": cfg.run.seed, "normalization": cfg.run.normalization,
-        },
-        "solver": {
-            "tolerance": cfg.solver.tolerance,
-            "max_iterations": cfg.solver.max_iterations,
-            "warm_start": cfg.solver.warm_start,
-        },
-    }
-
-
 def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float,
                        histories: list[IterationHistory]) -> None:
-    first = histories[0].to_records()[0]
     filemeta = {
         "type": "filemeta",
         "format": 1,
@@ -233,7 +186,7 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
         "alpha": alpha,
         "beta": cfg.run.beta,
         "iterations": cfg.run.iterations,
-        "loss": {"kind": cfg.run.loss.kind, "huber_m": cfg.run.loss.huber_m},
+        "loss": encode_fields(cfg.run.loss),
         "folds": len(histories),
         "seed": cfg.run.seed,
         "dataset": {
@@ -241,7 +194,7 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
             "target": cfg.dataset.target,
             "rows_train_fold0": int(histories[0].initial.yhat.size),
         },
-        "verdict": first["verdict"],
+        "verdict": encode_fields(histories[0].verdict),
     }
     lines = [json.dumps(filemeta)]
     for j, history in enumerate(histories):
@@ -252,15 +205,22 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
 
 
 def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
+    """Read a history file back; a malformed file raises DataError naming it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such history file: {path}")
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno} is not valid JSON") from None
+            if not isinstance(record, dict):
+                raise DataError(f"{path}: line {lineno} is not a JSON object")
+            records.append(record)
     if not records or records[0].get("type") != "filemeta":
         raise DataError(f"{path}: not a history file (missing filemeta line)")
     filemeta = records[0]
@@ -268,32 +228,35 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
         raise DataError(f"{path}: holds more than one history; one history per file")
     by_fold: dict[int, list[dict]] = {}
     for rec in records[1:]:
-        fold = rec.get("fold")
-        if fold is None:
+        fold = rec.pop("fold", None)
+        if not isinstance(fold, int):
             raise DataError(f"{path}: record without a fold tag")
-        body = {k: v for k, v in rec.items() if k != "fold"}
-        by_fold.setdefault(fold, []).append(body)
+        by_fold.setdefault(fold, []).append(rec)
+    if not by_fold:
+        raise DataError(f"{path}: holds no folds")
     histories = []
     for fold in sorted(by_fold):
-        histories.append(IterationHistory.from_records(by_fold[fold]))
-        if histories[-1].algorithm != filemeta["algorithm"] or \
-                histories[-1].alpha != filemeta["alpha"]:
+        try:
+            history = IterationHistory.from_records(by_fold[fold])
+        except DataError as exc:
+            raise DataError(f"{path}: fold {fold}: {exc}") from None
+        if history.algorithm != filemeta.get("algorithm") or \
+                history.alpha != filemeta.get("alpha"):
             raise DataError(f"{path}: fold {fold} disagrees with the file meta; "
                             "one history per file")
+        histories.append(history)
+    lengths = sorted({len(h.records) for h in histories})
+    if len(lengths) > 1:
+        raise DataError(f"{path}: folds have unequal iteration counts {lengths}")
     return filemeta, histories
 
 
 def _write_summary_csv(path, rows) -> None:
-    header = ["algorithm", "alpha", "fold", "kind", *SERIES_NAMES]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["algorithm"]), format_float(row["alpha"]), str(row["fold"]),
-                 row["kind"]]
-        for name in SERIES_NAMES:
-            value = row[name]
-            cells.append("" if value is None or (isinstance(value, float) and np.isnan(value))
-                         else format_float(value))
-        lines.append(",".join(cells))
+    """`rows` holds (algorithm, alpha, fold, kind, {series name: value}) tuples."""
+    lines = [",".join(["algorithm", "alpha", "fold", "kind", *SERIES_NAMES])]
+    for algorithm, alpha, fold, kind, values in rows:
+        lines.append(",".join([algorithm, format_float(alpha), str(fold), kind,
+                               *(_csv_number(values[name]) for name in SERIES_NAMES)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

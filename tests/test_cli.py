@@ -273,3 +273,81 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     flags = [line.split(",")[-1] for line in out[1:]]
     assert flags == ["A-better", "A-better", "A-better", "A-better"]
+
+
+@pytest.fixture(scope="module")
+def history_lines(tmp_path_factory, csv_50):
+    tmp_path = tmp_path_factory.mktemp("format")
+    cfg = write_config(tmp_path, csv_50)
+    assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 0
+    path = next((tmp_path / "out").glob("history_*.jsonl"))
+    meta_doc = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    return path.read_text().splitlines(), meta_doc
+
+
+def test_history_format_1_key_order(history_lines):
+    # the records are the dataclass fields in declaration order: a field added
+    # to or moved in IterationHistory, InitialRecord, IterationRecord or the
+    # config blocks changes format 1 and must show up here
+    lines, meta_doc = history_lines
+    records = [json.loads(line) for line in lines]
+    first = {}
+    for rec in records:
+        first.setdefault(rec["type"], rec)
+    assert list(first) == ["filemeta", "meta", "initial", "iteration"]
+    assert list(first["filemeta"]) == [
+        "type", "format", "algorithm", "alpha", "beta", "iterations", "loss", "folds",
+        "seed", "dataset", "verdict"]
+    assert list(first["filemeta"]["loss"]) == ["kind", "huber_m"]
+    assert list(first["filemeta"]["verdict"]) == [
+        "verdict", "alpha_bound", "lipschitz_constant", "note"]
+    assert list(first["meta"]) == [
+        "fold", "type", "algorithm", "alpha", "beta", "iterations", "loss", "learner",
+        "seed", "norm", "verdict", "stopped_early", "branch_counts"]
+    assert list(first["meta"]["learner"]) == [
+        "kind", "ridge_lambda", "n_trees", "max_depth", "learning_rate",
+        "min_samples_leaf", "seed"]
+    assert list(first["initial"]) == [
+        "fold", "type", "i", "r2_train", "r2_test", "c_train", "c_test", "yhat"]
+    assert list(first["iteration"]) == [
+        "fold", "type", "i", "branch", "z", "yhat", "yhat_next", "r2_train", "r2_test",
+        "c_train", "c_test", "residual", "contraction", "solver_method",
+        "solver_iterations", "solver_converged", "solver_primal", "solver_dual",
+        "fallback"]
+    echo = meta_doc["config"]
+    assert {block: sorted(echo[block]) for block in echo} == {
+        "dataset": ["categorical", "drop", "path", "protected", "target"],
+        "constraint": ["box", "epsilon", "fraction"],
+        "run": ["algorithms", "alphas", "beta", "folds", "iterations", "learner",
+                "loss", "normalization", "seed"],
+        "solver": ["max_iterations", "tolerance", "warm_start"],
+    }
+    assert sorted(echo["run"]["learner"]) == sorted(first["meta"]["learner"])
+    assert meta_doc["runs"][0]["verdict"] == first["filemeta"]["verdict"]
+
+
+def _edit_first_iteration(edit):
+    def damage(lines):
+        rec = json.loads(lines[3])
+        edit(rec)
+        return lines[:3] + [json.dumps(rec)] + lines[4:]
+    return damage
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines: lines[:2] + [lines[2][:40]], "line 3 is not valid JSON"),
+    (lambda lines: lines[:1] + ["[1, 2]"] + lines[2:], "line 2 is not a JSON object"),
+    (lambda lines: lines[:2], "must start with a meta record and then an initial record"),
+    (_edit_first_iteration(lambda rec: rec.pop("residual")), "missing field 'residual'"),
+    (_edit_first_iteration(lambda rec: rec.update(z="0.5")), "IterationRecord.z"),
+    (lambda lines: lines[:-1], "unequal iteration counts"),
+], ids=["cut-mid-line", "not-an-object", "meta-only", "missing-field", "wrong-type",
+        "unequal-folds"])
+def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
+                                           capsys, caplog):
+    path = tmp_path / "damaged.jsonl"
+    path.write_text("\n".join(damage(history_lines[0])) + "\n")
+    assert main(["plotdata", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+    assert "unhandled failure" not in caplog.text
