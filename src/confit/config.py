@@ -7,8 +7,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .driver import ALGORITHMS
 from .errors import ConfigError
 from .learners import LEARNER_KINDS, LearnerSpec
@@ -95,6 +93,8 @@ def _str_tuple(node, where) -> tuple[str, ...]:
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml  # here, not at the top: `plotdata` and `compare` never parse YAML
+
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")

@@ -168,26 +168,35 @@ class IterationHistory:
         return self.records[-1].yhat_next if self.records else self.initial.yhat
 
     def to_records(self) -> list[dict]:
-        """The history as format-1 records: one meta record, one initial record,
-        then one record per adjustment step."""
+        """The history as format-2 records: one meta record, one initial record,
+        then one record per adjustment step. A step's `yhat` is left out: it is
+        the previous step's `yhat_next`, or the initial `yhat` for step 1."""
         meta = {"type": "meta", **encode_fields(self, exclude=("initial", "records")),
                 "branch_counts": self.branch_counts}
         return [meta, {"type": "initial", "i": 0, **encode_fields(self.initial)},
-                *({"type": "iteration", **encode_fields(r)} for r in self.records)]
+                *({"type": "iteration", **encode_fields(r, exclude=("yhat",))}
+                  for r in self.records)]
 
     @classmethod
-    def from_records(cls, records: list[dict]) -> "IterationHistory":
-        """Inverse of `to_records`; malformed records raise DataError."""
+    def from_records(cls, records: list[dict], format: int = 2) -> "IterationHistory":
+        """Inverse of `to_records`; malformed records raise DataError. Format-1
+        records carry their own `yhat`; in format 2 each step's `yhat` is the
+        previous step's `yhat_next` array itself, not a copy."""
         if len(records) < 2 or records[0].get("type") != "meta" \
                 or records[1].get("type") != "initial":
             raise DataError("history stream must start with a meta record "
                             "and then an initial record")
+        initial = decode_fields(InitialRecord, records[1])
+        steps = []
+        previous = initial.yhat
         for rec in records[2:]:
             if rec.get("type") != "iteration":
                 raise DataError(f"unexpected record type {rec.get('type')!r}")
-        return decode_fields(cls, records[0],
-                             initial=decode_fields(InitialRecord, records[1]),
-                             records=[decode_fields(IterationRecord, r) for r in records[2:]])
+            step = (decode_fields(IterationRecord, rec) if format == 1
+                    else decode_fields(IterationRecord, rec, yhat=previous))
+            steps.append(step)
+            previous = step.yhat_next
+        return decode_fields(cls, records[0], initial=initial, records=steps)
 
 
 def encode_fields(obj, exclude=()) -> dict:
@@ -323,8 +332,10 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
     loss = config.loss
     gauges = _Metrics(train, test)
 
+    # each prediction is held once: a step's `yhat` is the previous step's
+    # `yhat_next` (the initial `yhat` for step 1); nothing writes into them
     model = fit(config.learner, train.x, train.y, loss)
-    yhat = model.train_prediction.copy()
+    yhat = model.train_prediction
     yhat_test = predict(model, test.x)
     c_train, c_test = gauges.ratios(yhat, yhat_test)
     history = IterationHistory(
@@ -334,7 +345,7 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
         verdict=check_contraction_condition(loss, config.alpha),
         initial=InitialRecord(
             r2_train=_safe_r2(train.y, yhat), r2_test=_safe_r2(test.y, yhat_test),
-            c_train=c_train, c_test=c_test, yhat=yhat.copy()),
+            c_train=c_train, c_test=c_test, yhat=yhat),
     )
 
     warm_master = None
@@ -378,13 +389,13 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
         contraction = residual / prev_residual if prev_residual else float("nan")
         c_train, c_test = gauges.ratios(yhat_next, yhat_test)
         history.records.append(IterationRecord(
-            i=i, branch=branch, z=z.copy(), yhat=yhat.copy(), yhat_next=yhat_next.copy(),
+            i=i, branch=branch, z=z.copy(), yhat=yhat, yhat_next=yhat_next,
             r2_train=_safe_r2(train.y, yhat_next), r2_test=_safe_r2(test.y, yhat_test),
             c_train=c_train, c_test=c_test, residual=residual, contraction=contraction,
             solver_method=report.method, solver_iterations=report.iterations,
             solver_converged=report.converged, solver_primal=report.primal_residual,
             solver_dual=report.dual_residual, fallback=fallback))
-        yhat = yhat_next.copy()
+        yhat = yhat_next
         prev_residual = residual if residual > 0 else prev_residual
         if config.early_stop and residual < config.stop_tol:
             history.stopped_early = True

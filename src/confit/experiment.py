@@ -5,7 +5,9 @@ Artifacts per run directory:
 
 * ``history_<algorithm>_<loss>_a<alpha>.jsonl``: one line-delimited record
   stream per (algorithm, alpha), holding a file-level meta line followed by
-  every fold's iteration records (tagged with their fold);
+  every fold's iteration records (tagged with their fold). Format 2 writes
+  each prediction vector once: a step's ``yhat`` is the previous step's
+  ``yhat_next``. Format 1, which repeats it in every step, is still read;
 * ``summary.csv``: final-metric rows per fold plus mean/std aggregate rows;
 * ``run_meta.json``: config echo, seed, and convergence verdicts.
 
@@ -181,7 +183,7 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
                        histories: list[IterationHistory]) -> None:
     filemeta = {
         "type": "filemeta",
-        "format": 1,
+        "format": 2,
         "algorithm": algorithm,
         "alpha": alpha,
         "beta": cfg.run.beta,
@@ -196,12 +198,11 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
         },
         "verdict": encode_fields(histories[0].verdict),
     }
-    lines = [json.dumps(filemeta)]
-    for j, history in enumerate(histories):
-        for record in history.to_records():
-            tagged = {"fold": j, **record}
-            lines.append(json.dumps(tagged))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(filemeta) + "\n")
+        for j, history in enumerate(histories):
+            for record in history.to_records():
+                fh.write(json.dumps({"fold": j, **record}) + "\n")
 
 
 def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
@@ -224,6 +225,10 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
     if not records or records[0].get("type") != "filemeta":
         raise DataError(f"{path}: not a history file (missing filemeta line)")
     filemeta = records[0]
+    version = filemeta.get("format")
+    if type(version) is not int or version not in (1, 2):
+        raise DataError(f"{path}: unknown history format {version!r}; "
+                        "formats 1 and 2 are read")
     if any(r.get("type") == "filemeta" for r in records[1:]):
         raise DataError(f"{path}: holds more than one history; one history per file")
     by_fold: dict[int, list[dict]] = {}
@@ -237,7 +242,7 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
     histories = []
     for fold in sorted(by_fold):
         try:
-            history = IterationHistory.from_records(by_fold[fold])
+            history = IterationHistory.from_records(by_fold[fold], version)
         except DataError as exc:
             raise DataError(f"{path}: fold {fold}: {exc}") from None
         if history.algorithm != filemeta.get("algorithm") or \

@@ -114,7 +114,8 @@ def prox(spec: LossSpec, t: float, v: np.ndarray, anchor: np.ndarray) -> np.ndar
 
 def prox_pair(spec: LossSpec, t, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
               w2: float) -> np.ndarray:
-    """argmin_z t*[g(z-a1_k) + w2*g(z-a2_k)] + 0.5*(z - v_k)^2, elementwise.
+    """argmin_z t*[g(z-a1_k) + w2*g(z-a2_k)] + 0.5*(z - v_k)^2, elementwise
+    over a 1-D `v`.
 
     Two-anchor prox used by the combined-objective master step.
     """
@@ -142,21 +143,22 @@ def prox_pair(spec: LossSpec, t, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
                      np.where(above > hi, above,
                               np.where((middle > lo) & (middle < hi), middle, at_kink)))
         return z
-    # huber pair: derivative is strictly increasing, bisect it
+    # huber pair: the derivative t*[g'(z-a1) + w2*g'(z-a2)] + (z - v) is
+    # increasing and piecewise linear, with kinks at a1 -+ m and a2 -+ m and
+    # slope 1 outside them; solve it on the piece where it changes sign
     m = spec.huber_m
-    pad = np.asarray(t * (1.0 + w2) * 2.0 * m + 1.0)
-    lo = np.minimum(np.minimum(a1, a2), v) - pad
-    hi = np.maximum(np.maximum(a1, a2), v) + pad
-
-    def dphi(z):
-        return t * (gradient(spec, z - a1) + w2 * gradient(spec, z - a2)) + (z - v)
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = dphi(mid) > 0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    return 0.5 * (lo + hi)
+    lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
+    knots = np.array([lo - m, np.minimum(lo + m, hi - m), np.maximum(lo + m, hi - m), hi + m])
+    dphi = 2.0 * t * (np.clip(knots - a1, -m, m) + w2 * np.clip(knots - a2, -m, m)) \
+        + (knots - v)
+    np.maximum.accumulate(dphi, axis=0, out=dphi)  # monotone through rounding
+    below = np.count_nonzero(dphi <= 0.0, axis=0)  # knots left of the root
+    cols = np.arange(v.size)
+    left, right = np.maximum(below - 1, 0), np.minimum(below, 3)
+    k, d = knots[left, cols], dphi[left, cols]
+    inner = left < right  # between two knots; left of the first or right of the last, slope 1
+    return k - d * np.where(inner, knots[right, cols] - k, 1.0) \
+        / np.where(inner, dphi[right, cols] - d, 1.0)
 
 
 def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float) -> np.ndarray:

@@ -7,6 +7,10 @@ a package routine (an inner projection, a prox map), the test passes it in,
 and only the part under test is independent.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 
 
@@ -409,3 +413,69 @@ def mean_std_two_pass(values):
     mean = sum(vals) / n
     var = sum((v - mean) ** 2 for v in vals) / n
     return mean, var ** 0.5
+
+
+def huber_pair_prox_bisection(t, v, a1, a2, w2, m, steps=100):
+    """argmin_z t*[h(z - a1) + w2*h(z - a2)] + 0.5*(z - v)^2 elementwise, for
+    the Huber function h with threshold m, by bisecting the sign of the
+    derivative t*[h'(z - a1) + w2*h'(z - a2)] + (z - v), h'(x) =
+    2*clip(x, -m, m), on a bracket padded by the largest slope step."""
+    v, a1, a2 = (np.asarray(a, dtype=float) for a in (v, a1, a2))
+    pad = t * (1.0 + w2) * 2.0 * m + 1.0
+    lo = np.minimum(np.minimum(a1, a2), v) - pad
+    hi = np.maximum(np.maximum(a1, a2), v) + pad
+
+    def dphi(z):
+        return (2.0 * t * (np.clip(z - a1, -m, m) + w2 * np.clip(z - a2, -m, m))
+                + (z - v))
+
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        pos = dphi(mid) > 0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def write_history_format_1(path, cfg, algorithm, alpha, histories):
+    """A history file in format 1, as the package wrote it before format 2:
+    a filemeta line, then per fold a meta, an initial and one iteration
+    record per step, each record the fields of its dataclass in declaration
+    order (arrays as lists, NaN as null, nested dataclasses as objects), and
+    every iteration record carrying its own `yhat`."""
+    def encode(value):
+        if dataclasses.is_dataclass(value):
+            return fields_of(value)
+        if isinstance(value, float):
+            return None if value != value else value
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, (list, tuple)):
+            return [encode(v) for v in value]
+        return value
+
+    def fields_of(obj, exclude=()):
+        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                if f.name not in exclude}
+
+    filemeta = {
+        "type": "filemeta", "format": 1, "algorithm": algorithm, "alpha": alpha,
+        "beta": cfg.run.beta, "iterations": cfg.run.iterations,
+        "loss": fields_of(cfg.run.loss), "folds": len(histories), "seed": cfg.run.seed,
+        "dataset": {"path": cfg.dataset.path, "target": cfg.dataset.target,
+                    "rows_train_fold0": int(histories[0].initial.yhat.size)},
+        "verdict": fields_of(histories[0].verdict),
+    }
+    lines = [json.dumps(filemeta)]
+    for j, history in enumerate(histories):
+        counts = {"infeasible": 0, "feasible": 0}
+        for record in history.records:
+            counts[record.branch] += 1
+        lines.append(json.dumps({"fold": j, "type": "meta",
+                                 **fields_of(history, exclude=("initial", "records")),
+                                 "branch_counts": counts}))
+        lines.append(json.dumps({"fold": j, "type": "initial", "i": 0,
+                                 **fields_of(history.initial)}))
+        lines += [json.dumps({"fold": j, "type": "iteration", **fields_of(record)})
+                  for record in history.records]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,14 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import confit
 from confit.cli import main
 from confit.config import load_config
-from confit.experiment import load_history_file, plotdata_rows, write_history_file
+from confit.experiment import (_run_one, load_history_file, plotdata_rows, prepare_folds,
+                               write_history_file)
 from confit.synth import write_school_csv
+from oracles import write_history_format_1
 
 
 def write_config(tmp_path, csv_path, *, alphas="[0.5]", iterations=4, folds=2,
@@ -142,7 +149,6 @@ def test_plotdata_rows_and_shape(tmp_path, csv_50, capsys):
 def test_plotdata_single_fold_zero_std(tmp_path, csv_50):
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
-    from confit.experiment import prepare_folds, _run_one
     fold = prepare_folds(cfg_obj)[0]
     history = _run_one(cfg_obj, "affine_extension", 0.5, fold)
     single = tmp_path / "single.jsonl"
@@ -252,7 +258,6 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
     from confit.driver import IterationHistory
-    from confit.experiment import prepare_folds, _run_one
     folds = prepare_folds(cfg_obj)
     histories = [_run_one(cfg_obj, "affine_extension", 0.5, f) for f in folds]
     shifted = []
@@ -285,16 +290,18 @@ def history_lines(tmp_path_factory, csv_50):
     return path.read_text().splitlines(), meta_doc
 
 
-def test_history_format_1_key_order(history_lines):
-    # the records are the dataclass fields in declaration order: a field added
-    # to or moved in IterationHistory, InitialRecord, IterationRecord or the
-    # config blocks changes format 1 and must show up here
+def test_history_format_2_key_order(history_lines):
+    # the records are the dataclass fields in declaration order, less each
+    # step's `yhat`: a field added to or moved in IterationHistory,
+    # InitialRecord, IterationRecord or the config blocks changes format 2 and
+    # must show up here
     lines, meta_doc = history_lines
     records = [json.loads(line) for line in lines]
     first = {}
     for rec in records:
         first.setdefault(rec["type"], rec)
     assert list(first) == ["filemeta", "meta", "initial", "iteration"]
+    assert first["filemeta"]["format"] == 2
     assert list(first["filemeta"]) == [
         "type", "format", "algorithm", "alpha", "beta", "iterations", "loss", "folds",
         "seed", "dataset", "verdict"]
@@ -310,7 +317,7 @@ def test_history_format_1_key_order(history_lines):
     assert list(first["initial"]) == [
         "fold", "type", "i", "r2_train", "r2_test", "c_train", "c_test", "yhat"]
     assert list(first["iteration"]) == [
-        "fold", "type", "i", "branch", "z", "yhat", "yhat_next", "r2_train", "r2_test",
+        "fold", "type", "i", "branch", "z", "yhat_next", "r2_train", "r2_test",
         "c_train", "c_test", "residual", "contraction", "solver_method",
         "solver_iterations", "solver_converged", "solver_primal", "solver_dual",
         "fallback"]
@@ -334,6 +341,14 @@ def _edit_first_iteration(edit):
     return damage
 
 
+def _set_format(version):
+    def damage(lines):
+        filemeta = json.loads(lines[0])
+        filemeta["format"] = version
+        return [json.dumps(filemeta)] + lines[1:]
+    return damage
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda lines: lines[:2] + [lines[2][:40]], "line 3 is not valid JSON"),
     (lambda lines: lines[:1] + ["[1, 2]"] + lines[2:], "line 2 is not a JSON object"),
@@ -341,8 +356,10 @@ def _edit_first_iteration(edit):
     (_edit_first_iteration(lambda rec: rec.pop("residual")), "missing field 'residual'"),
     (_edit_first_iteration(lambda rec: rec.update(z="0.5")), "IterationRecord.z"),
     (lambda lines: lines[:-1], "unequal iteration counts"),
+    (_set_format(7), "unknown history format 7"),
+    (_set_format(1), "missing field 'yhat'"),  # format 1 carries each step's yhat
 ], ids=["cut-mid-line", "not-an-object", "meta-only", "missing-field", "wrong-type",
-        "unequal-folds"])
+        "unequal-folds", "unknown-format", "format-1-without-yhat"])
 def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
                                            capsys, caplog):
     path = tmp_path / "damaged.jsonl"
@@ -351,3 +368,74 @@ def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, mess
     err = capsys.readouterr().err
     assert str(path) in err and message in err
     assert "unhandled failure" not in caplog.text
+
+
+def assert_same_fields(a, b, where="history"):
+    """Dataclasses field by field: arrays by np.array_equal, NaN equal to NaN."""
+    assert type(a) is type(b), where
+    for f in fields(a):
+        x, y, at = getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), at
+        elif is_dataclass(x):
+            assert_same_fields(x, y, at)
+        elif isinstance(x, list):
+            assert len(x) == len(y), at
+            for k, (p, q) in enumerate(zip(x, y)):
+                assert_same_fields(p, q, f"{at}[{k}]")
+        elif isinstance(x, float) and x != x:
+            assert isinstance(y, float) and y != y, at
+        else:
+            assert type(x) is type(y) and x == y, at
+
+
+def test_history_formats_1_and_2_load_equal(tmp_path, csv_50, capsys):
+    cfg = load_config(write_config(tmp_path, csv_50, iterations=5))
+    histories = [_run_one(cfg, "affine_extension", 0.5, fold) for fold in prepare_folds(cfg)]
+    old, new = tmp_path / "format1.jsonl", tmp_path / "format2.jsonl"
+    write_history_format_1(old, cfg, "affine_extension", 0.5, histories)
+    write_history_file(new, cfg, "affine_extension", 0.5, histories)
+    assert new.stat().st_size < old.stat().st_size
+    (meta_1, read_1), (meta_2, read_2) = load_history_file(old), load_history_file(new)
+    assert (meta_1.pop("format"), meta_2.pop("format")) == (1, 2) and meta_1 == meta_2
+    assert len(read_1) == len(read_2) == len(histories)
+    assert np.isnan(histories[0].records[0].contraction)  # NaN is covered
+    for h, a, b in zip(histories, read_1, read_2):
+        assert_same_fields(a, h)
+        assert_same_fields(b, h)
+        # format 2 holds each prediction once
+        steps = b.records
+        assert steps[0].yhat is b.initial.yhat
+        assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
+
+    def output(*args):
+        capsys.readouterr()
+        assert main([*args]) == 0
+        return capsys.readouterr().out
+
+    assert output("plotdata", str(old)) == output("plotdata", str(new))
+    assert output("compare", str(old), str(new)) == output("compare", str(new), str(new))
+
+
+def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):
+    cfg = write_config(tmp_path, csv_50, alphas="[0.1, 0.5]",
+                       algorithms="[affine_extension, moving_targets]")
+    for jobs in ("1", "2"):
+        assert main(["run", "--config", str(cfg), "--jobs", jobs,
+                     "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+    one = sorted((tmp_path / "jobs1").iterdir())
+    two = sorted((tmp_path / "jobs2").iterdir())
+    assert [p.name for p in one] == [p.name for p in two] and len(one) == 6
+    for a, b in zip(one, two):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    # plotdata and compare never parse YAML, so only load_config imports it
+    src = Path(confit.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, confit.cli; print('yaml' in sys.modules)"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -51,6 +51,19 @@ def test_contraction_verdicts():
     assert v.verdict == "not-guaranteed" and v.lipschitz_constant is None
 
 
+@pytest.mark.parametrize("algorithm", ["affine_extension", "moving_targets"])
+def test_each_prediction_is_held_once(algorithm):
+    # a step's yhat is the previous step's yhat_next array, not a copy of it
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng, n=10)
+    config = RunConfig(alpha=0.5, constraints=tight_polytope(rng, 10), beta=0.05,
+                       iterations=8, loss=MSE, learner=RIDGE0, algorithm=algorithm)
+    history = run(config, ds, ds)
+    steps = history.records
+    assert steps[0].yhat is history.initial.yhat
+    assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
+
+
 def test_branch_matches_membership():
     rng = np.random.default_rng(0)
     ds = make_dataset(rng, n=10)

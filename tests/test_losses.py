@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confit.losses import (LossSpec, MSE, MAE, loss_value, pointwise, prox,
                            prox_pair, project_ball, loss_norm)
-from oracles import golden_section
+from oracles import golden_section, huber_pair_prox_bisection
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -124,6 +125,33 @@ def test_prox_pair_matches_golden_section_oracle(spec):
 
         want = golden_section(phi, min(v, a1, a2) - span, max(v, a1, a2) + span, iters=300)
         assert got == pytest.approx(want, abs=1e-7)
+
+
+@st.composite
+def huber_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+    v, a1, a2 = scale * rng.standard_normal((3, n))
+    tie = draw(st.sampled_from([None, "equal", "2m apart"]))  # kinks that meet
+    if tie is not None:
+        a2 = a1 + (0.0 if tie == "equal" else 2.0 * m)
+    t = draw(st.sampled_from([1e-3, 0.3, 5.0, "per-coordinate"]))
+    if t == "per-coordinate":
+        t = rng.uniform(1e-3, 5.0, n)
+    return t, v, a1, a2, draw(st.sampled_from([0.0, 0.1, 1.0, 9.0])), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(huber_pairs())
+def test_huber_pair_prox_matches_bisection_oracle(pair):
+    t, v, a1, a2, w2, m = pair
+    got = prox_pair(LossSpec("huber", huber_m=m), t, v, a1, a2, w2)
+    want = huber_pair_prox_bisection(t, v, a1, a2, w2, m)
+    span = np.max([v, a1, a2], axis=0) - np.min([v, a1, a2], axis=0)
+    slack = 1e-9 * span + 4 * np.finfo(float).eps * np.max(np.abs([v, a1, a2]), axis=0)
+    assert np.all(np.abs(got - want) <= slack)
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind)
