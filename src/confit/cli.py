@@ -75,8 +75,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    meta_a, hist_a = load_history_file(args.history_a)
-    meta_b, hist_b = load_history_file(args.history_b)
+    meta_a, hist_a = load_history_file(args.history_a, vectors=False)
+    meta_b, hist_b = load_history_file(args.history_b, vectors=False)
     lines = compare_rows(meta_a, hist_a, meta_b, hist_b)
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -86,7 +86,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    _, histories = load_history_file(args.history)
+    _, histories = load_history_file(args.history, vectors=False)
     lines = plotdata_rows(histories)
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

@@ -15,10 +15,11 @@ toward y inside a loss-ball of radius beta around the prediction.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Union, get_type_hints
+from typing import Callable, Iterable, Iterator, Union, get_type_hints
 
 import numpy as np
 
@@ -168,32 +169,49 @@ class IterationHistory:
         return self.records[-1].yhat_next if self.records else self.initial.yhat
 
     def to_records(self) -> list[dict]:
-        """The history as format-2 records: one meta record, one initial record,
-        then one record per adjustment step. A step's `yhat` is left out: it is
-        the previous step's `yhat_next`, or the initial `yhat` for step 1."""
+        """The history as format-3 records: one meta record, one initial record,
+        then one record per adjustment step, all without their prediction
+        vectors, which `vectors` yields."""
         meta = {"type": "meta", **encode_fields(self, exclude=("initial", "records")),
                 "branch_counts": self.branch_counts}
-        return [meta, {"type": "initial", "i": 0, **encode_fields(self.initial)},
-                *({"type": "iteration", **encode_fields(r, exclude=("yhat",))}
+        return [meta, {"type": "initial", "i": 0, **encode_fields(self.initial, exclude=("yhat",))},
+                *({"type": "iteration", **encode_fields(r, exclude=("z", "yhat", "yhat_next"))}
                   for r in self.records)]
 
+    def vectors(self) -> Iterator[np.ndarray]:
+        """The prediction vectors left out of `to_records`, in file order: the
+        initial `yhat`, then each step's `z` and `yhat_next`. A step's `yhat`
+        is not among them: it is the previous step's `yhat_next`."""
+        yield self.initial.yhat
+        for r in self.records:
+            yield r.z
+            yield r.yhat_next
+
     @classmethod
-    def from_records(cls, records: list[dict], format: int = 2) -> "IterationHistory":
-        """Inverse of `to_records`; malformed records raise DataError. Format-1
-        records carry their own `yhat`; in format 2 each step's `yhat` is the
-        previous step's `yhat_next` array itself, not a copy."""
+    def from_records(cls, records: list[dict], format: int = 3,
+                     vectors: Iterable[np.ndarray] | None = None) -> "IterationHistory":
+        """Inverse of `to_records`; malformed records raise DataError.
+
+        Format-3 records take their vectors from `vectors`, in the order
+        `vectors` yields them; without it those arrays are None. Format-2
+        records carry `z` and `yhat_next`, and format-1 records also carry
+        each step's `yhat`. From format 2 on, a step's `yhat` is the previous
+        step's `yhat_next` array itself, not a copy."""
         if len(records) < 2 or records[0].get("type") != "meta" \
                 or records[1].get("type") != "initial":
             raise DataError("history stream must start with a meta record "
                             "and then an initial record")
-        initial = decode_fields(InitialRecord, records[1])
+        take = iter(vectors) if vectors is not None else itertools.repeat(None)
+        initial = decode_fields(InitialRecord, records[1],
+                                **({"yhat": next(take)} if format == 3 else {}))
         steps = []
         previous = initial.yhat
         for rec in records[2:]:
             if rec.get("type") != "iteration":
                 raise DataError(f"unexpected record type {rec.get('type')!r}")
-            step = (decode_fields(IterationRecord, rec) if format == 1
-                    else decode_fields(IterationRecord, rec, yhat=previous))
+            given = ({} if format == 1 else {"yhat": previous} if format == 2
+                     else {"yhat": previous, "z": next(take), "yhat_next": next(take)})
+            step = decode_fields(IterationRecord, rec, **given)
             steps.append(step)
             previous = step.yhat_next
         return decode_fields(cls, records[0], initial=initial, records=steps)

@@ -5,14 +5,20 @@ Artifacts per run directory:
 
 * ``history_<algorithm>_<loss>_a<alpha>.jsonl``: one line-delimited record
   stream per (algorithm, alpha), holding a file-level meta line followed by
-  every fold's iteration records (tagged with their fold). Format 2 writes
-  each prediction vector once: a step's ``yhat`` is the previous step's
-  ``yhat_next``. Format 1, which repeats it in every step, is still read;
+  every fold's iteration records (tagged with their fold). Format 3 keeps
+  only scalars there; the prediction vectors go to the sidecar
+  ``history_<algorithm>_<loss>_a<alpha>.f64`` as raw little-endian float64,
+  per fold the initial ``yhat``, then ``z`` and ``yhat_next`` per step (a
+  step's ``yhat`` is the previous step's ``yhat_next``), in the manner of
+  NumPy's ``.npy``: a text header, then raw data. A scalar-only read, as
+  ``plotdata`` and ``compare`` do, checks the sidecar's size but never opens
+  it. Formats 1 and 2, which hold the vectors as JSON text (format 1 repeats
+  ``yhat`` in every step), are still read;
 * ``summary.csv``: final-metric rows per fold plus mean/std aggregate rows;
 * ``run_meta.json``: config echo, seed, and convergence verdicts.
 
-Numbers are serialized with shortest-round-trip formatting, so identical runs
-produce byte-identical files.
+Numbers are serialized with shortest-round-trip formatting, and vectors as
+their float64 bytes, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -179,11 +185,19 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     return artifacts
 
 
+def sidecar_path(path) -> Path:
+    """The raw float64 file that holds a format-3 history's vectors."""
+    return Path(path).with_suffix(".f64")
+
+
 def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float,
                        histories: list[IterationHistory]) -> None:
+    """Write one history in format 3: the scalar records to `path`, and every
+    vector to `sidecar_path(path)` as raw little-endian float64."""
+    rows = [int(h.initial.yhat.size) for h in histories]
     filemeta = {
         "type": "filemeta",
-        "format": 2,
+        "format": 3,
         "algorithm": algorithm,
         "alpha": alpha,
         "beta": cfg.run.beta,
@@ -194,19 +208,32 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
         "dataset": {
             "path": cfg.dataset.path,
             "target": cfg.dataset.target,
-            "rows_train_fold0": int(histories[0].initial.yhat.size),
+            "rows_train_fold0": rows[0],
         },
         "verdict": encode_fields(histories[0].verdict),
+        "vectors": {"rows": rows, "bytes": _vector_bytes(rows, histories)},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh, open(sidecar_path(path), "wb") as raw:
         fh.write(json.dumps(filemeta) + "\n")
         for j, history in enumerate(histories):
             for record in history.to_records():
                 fh.write(json.dumps({"fold": j, **record}) + "\n")
+            for vector in history.vectors():
+                raw.write(np.ascontiguousarray(vector, dtype="<f8").data)
 
 
-def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
-    """Read a history file back; a malformed file raises DataError naming it."""
+def _vector_bytes(rows: list[int], histories: list[IterationHistory]) -> int:
+    """Sidecar size: per fold, 1 + 2 * steps vectors of that fold's length."""
+    return sum(8 * n * (1 + 2 * len(h.records)) for n, h in zip(rows, histories))
+
+
+def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationHistory]]:
+    """Read a history file back; a malformed file raises DataError naming it.
+
+    Formats 1 and 2 hold their vectors in the JSON lines and always decode
+    them. A format-3 file's sidecar must exist and have the size its file meta
+    records; it is read only with `vectors`, and without it the histories'
+    arrays are None."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such history file: {path}")
@@ -226,9 +253,9 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
         raise DataError(f"{path}: not a history file (missing filemeta line)")
     filemeta = records[0]
     version = filemeta.get("format")
-    if type(version) is not int or version not in (1, 2):
+    if type(version) is not int or version not in (1, 2, 3):
         raise DataError(f"{path}: unknown history format {version!r}; "
-                        "formats 1 and 2 are read")
+                        "formats 1, 2 and 3 are read")
     if any(r.get("type") == "filemeta" for r in records[1:]):
         raise DataError(f"{path}: holds more than one history; one history per file")
     by_fold: dict[int, list[dict]] = {}
@@ -239,10 +266,32 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
         by_fold.setdefault(fold, []).append(rec)
     if not by_fold:
         raise DataError(f"{path}: holds no folds")
+    histories = _decode_folds(path, filemeta, by_fold, version)
+    lengths = sorted({len(h.records) for h in histories})
+    if len(lengths) > 1:
+        raise DataError(f"{path}: folds have unequal iteration counts {lengths}")
+    if version == 3:
+        rows = _check_sidecar(path, filemeta, histories)
+        if vectors:
+            # decoded again, now with the vectors, so that every check on the
+            # records comes before any on the sidecar; one read, and each
+            # fold's vectors are the rows of a view into it
+            data = np.fromfile(sidecar_path(path), dtype="<f8")
+            offset, blocks = 0, []
+            for n, h in zip(rows, histories):
+                count = 1 + 2 * len(h.records)
+                blocks.append(data[offset:offset + count * n].reshape(count, n))
+                offset += count * n
+            histories = _decode_folds(path, filemeta, by_fold, version, blocks)
+    return filemeta, histories
+
+
+def _decode_folds(path, filemeta, by_fold, version, vectors=None) -> list[IterationHistory]:
     histories = []
-    for fold in sorted(by_fold):
+    for k, fold in enumerate(sorted(by_fold)):
         try:
-            history = IterationHistory.from_records(by_fold[fold], version)
+            history = IterationHistory.from_records(
+                by_fold[fold], version, None if vectors is None else vectors[k])
         except DataError as exc:
             raise DataError(f"{path}: fold {fold}: {exc}") from None
         if history.algorithm != filemeta.get("algorithm") or \
@@ -250,10 +299,28 @@ def load_history_file(path) -> tuple[dict, list[IterationHistory]]:
             raise DataError(f"{path}: fold {fold} disagrees with the file meta; "
                             "one history per file")
         histories.append(history)
-    lengths = sorted({len(h.records) for h in histories})
-    if len(lengths) > 1:
-        raise DataError(f"{path}: folds have unequal iteration counts {lengths}")
-    return filemeta, histories
+    return histories
+
+
+def _check_sidecar(path, filemeta, histories) -> list[int]:
+    """The sidecar exists and holds the vectors the records call for; returns
+    each fold's vector length."""
+    meta = filemeta.get("vectors")
+    rows = meta.get("rows") if isinstance(meta, dict) else None
+    if not isinstance(rows, list) or len(rows) != len(histories) \
+            or not all(type(n) is int and n >= 0 for n in rows) \
+            or meta.get("bytes") != _vector_bytes(rows, histories):
+        raise DataError(f"{path}: the file meta's 'vectors' entry does not match "
+                        "the records")
+    sidecar = sidecar_path(path)
+    try:
+        size = sidecar.stat().st_size
+    except FileNotFoundError:
+        raise DataError(f"{sidecar}: missing; it holds the vectors of {path}") from None
+    if size != meta["bytes"]:
+        raise DataError(f"{sidecar}: holds {size} bytes, the vectors of {path} take "
+                        f"{meta['bytes']}")
+    return rows
 
 
 def _write_summary_csv(path, rows) -> None:

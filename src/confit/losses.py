@@ -125,23 +125,18 @@ def prox_pair(spec: LossSpec, t, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     if spec.kind == "mse":
         return (v + 2.0 * t * (a1 + w2 * a2)) / (1.0 + 2.0 * t * (1.0 + w2))
     if spec.kind == "mae":
-        lam1 = t * np.ones_like(v)
-        lam2 = t * w2 * np.ones_like(v)
+        # piecewise quadratic with kinks at the anchors: the stationary point
+        # of an outer piece when it lies in that piece, else the middle
+        # piece's stationary point clipped to the kinks
+        t2 = t * w2
         lo = np.minimum(a1, a2)
         hi = np.maximum(a1, a2)
-        lam_lo = np.where(a1 <= a2, lam1, lam2)
-        lam_hi = np.where(a1 <= a2, lam2, lam1)
-        below = v + lam1 + lam2          # stationary point for z < lo
-        above = v - lam1 - lam2          # stationary point for z > hi
-        middle = v - lam_lo + lam_hi     # stationary point for lo < z < hi
-
-        def obj(z):
-            return lam1 * np.abs(z - a1) + lam2 * np.abs(z - a2) + 0.5 * (z - v) ** 2
-
-        at_kink = np.where(obj(lo) <= obj(hi), lo, hi)
-        z = np.where(below < lo, below,
-                     np.where(above > hi, above,
-                              np.where((middle > lo) & (middle < hi), middle, at_kink)))
+        below = v + t + t2
+        above = v - t - t2
+        middle = np.where(a1 <= a2, v - t + t2, v - t2 + t)
+        z = np.clip(middle, lo, hi)
+        np.copyto(z, above, where=above > hi)
+        np.copyto(z, below, where=below < lo)
         return z
     # huber pair: the derivative t*[g'(z-a1) + w2*g'(z-a2)] + (z - v) is
     # increasing and piecewise linear, with kinks at a1 -+ m and a2 -+ m and

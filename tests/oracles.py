@@ -437,45 +437,84 @@ def huber_pair_prox_bisection(t, v, a1, a2, w2, m, steps=100):
     return 0.5 * (lo + hi)
 
 
+def mae_pair_prox_reference(t, v, a1, a2, w2):
+    """argmin_z t*[|z - a1| + w2*|z - a2|] + 0.5*(z - v)^2 elementwise: the
+    stationary point left of both anchors, right of both or between them,
+    whichever lies in its piece, and otherwise the kink of lower objective."""
+    v, a1, a2 = (np.asarray(a, dtype=float) for a in (v, a1, a2))
+    lam1 = t * np.ones_like(v)
+    lam2 = t * w2 * np.ones_like(v)
+    lo = np.minimum(a1, a2)
+    hi = np.maximum(a1, a2)
+    lam_lo = np.where(a1 <= a2, lam1, lam2)
+    lam_hi = np.where(a1 <= a2, lam2, lam1)
+    below = v + lam1 + lam2
+    above = v - lam1 - lam2
+    middle = v - lam_lo + lam_hi
+
+    def obj(z):
+        return lam1 * np.abs(z - a1) + lam2 * np.abs(z - a2) + 0.5 * (z - v) ** 2
+
+    at_kink = np.where(obj(lo) <= obj(hi), lo, hi)
+    return np.where(below < lo, below,
+                    np.where(above > hi, above,
+                             np.where((middle > lo) & (middle < hi), middle, at_kink)))
+
+
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return _fields_of(value)
+    if isinstance(value, float):
+        return None if value != value else value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _fields_of(obj, exclude=()):
+    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            if f.name not in exclude}
+
+
+def _history_lines(version, cfg, algorithm, alpha, histories, step_exclude):
+    filemeta = {
+        "type": "filemeta", "format": version, "algorithm": algorithm, "alpha": alpha,
+        "beta": cfg.run.beta, "iterations": cfg.run.iterations,
+        "loss": _fields_of(cfg.run.loss), "folds": len(histories), "seed": cfg.run.seed,
+        "dataset": {"path": cfg.dataset.path, "target": cfg.dataset.target,
+                    "rows_train_fold0": int(histories[0].initial.yhat.size)},
+        "verdict": _fields_of(histories[0].verdict),
+    }
+    yield json.dumps(filemeta)
+    for j, history in enumerate(histories):
+        counts = {"infeasible": 0, "feasible": 0}
+        for record in history.records:
+            counts[record.branch] += 1
+        yield json.dumps({"fold": j, "type": "meta",
+                          **_fields_of(history, exclude=("initial", "records")),
+                          "branch_counts": counts})
+        yield json.dumps({"fold": j, "type": "initial", "i": 0,
+                          **_fields_of(history.initial)})
+        for record in history.records:
+            yield json.dumps({"fold": j, "type": "iteration",
+                              **_fields_of(record, exclude=step_exclude)})
+
+
 def write_history_format_1(path, cfg, algorithm, alpha, histories):
     """A history file in format 1, as the package wrote it before format 2:
     a filemeta line, then per fold a meta, an initial and one iteration
     record per step, each record the fields of its dataclass in declaration
     order (arrays as lists, NaN as null, nested dataclasses as objects), and
     every iteration record carrying its own `yhat`."""
-    def encode(value):
-        if dataclasses.is_dataclass(value):
-            return fields_of(value)
-        if isinstance(value, float):
-            return None if value != value else value
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-        if isinstance(value, (list, tuple)):
-            return [encode(v) for v in value]
-        return value
+    lines = _history_lines(1, cfg, algorithm, alpha, histories, ())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def fields_of(obj, exclude=()):
-        return {f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-                if f.name not in exclude}
 
-    filemeta = {
-        "type": "filemeta", "format": 1, "algorithm": algorithm, "alpha": alpha,
-        "beta": cfg.run.beta, "iterations": cfg.run.iterations,
-        "loss": fields_of(cfg.run.loss), "folds": len(histories), "seed": cfg.run.seed,
-        "dataset": {"path": cfg.dataset.path, "target": cfg.dataset.target,
-                    "rows_train_fold0": int(histories[0].initial.yhat.size)},
-        "verdict": fields_of(histories[0].verdict),
-    }
-    lines = [json.dumps(filemeta)]
-    for j, history in enumerate(histories):
-        counts = {"infeasible": 0, "feasible": 0}
-        for record in history.records:
-            counts[record.branch] += 1
-        lines.append(json.dumps({"fold": j, "type": "meta",
-                                 **fields_of(history, exclude=("initial", "records")),
-                                 "branch_counts": counts}))
-        lines.append(json.dumps({"fold": j, "type": "initial", "i": 0,
-                                 **fields_of(history.initial)}))
-        lines += [json.dumps({"fold": j, "type": "iteration", **fields_of(record)})
-                  for record in history.records]
+def write_history_format_2(path, cfg, algorithm, alpha, histories):
+    """A history file in format 2, as the package wrote it before format 3:
+    format 1 without each iteration record's `yhat`, which is the previous
+    record's `yhat_next` (the initial `yhat` for the first step)."""
+    lines = _history_lines(2, cfg, algorithm, alpha, histories, ("yhat",))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

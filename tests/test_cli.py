@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,10 +13,11 @@ import pytest
 import confit
 from confit.cli import main
 from confit.config import load_config
+from confit.errors import DataError
 from confit.experiment import (_run_one, load_history_file, plotdata_rows, prepare_folds,
-                               write_history_file)
+                               sidecar_path, write_history_file)
 from confit.synth import write_school_csv
-from oracles import write_history_format_1
+from oracles import write_history_format_1, write_history_format_2
 
 
 def write_config(tmp_path, csv_path, *, alphas="[0.5]", iterations=4, folds=2,
@@ -269,7 +271,7 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
                     rec[key] = rec[key] - 0.5
                 for key in ("c_train", "c_test"):
                     rec[key] = rec[key] + 0.5
-        shifted.append(IterationHistory.from_records(records))
+        shifted.append(IterationHistory.from_records(records, vectors=h.vectors()))
     path_a = tmp_path / "a.jsonl"
     path_b = tmp_path / "b.jsonl"
     write_history_file(path_a, cfg_obj, "affine_extension", 0.5, histories)
@@ -282,32 +284,44 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
 
 @pytest.fixture(scope="module")
 def history_lines(tmp_path_factory, csv_50):
+    """One run's history as written (format 3) and as format 2 wrote it, with
+    the format-3 sidecar's bytes and the run's `run_meta.json`."""
     tmp_path = tmp_path_factory.mktemp("format")
     cfg = write_config(tmp_path, csv_50)
     assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 0
     path = next((tmp_path / "out").glob("history_*.jsonl"))
+    _, histories = load_history_file(path)
+    old = tmp_path / "format2.jsonl"
+    write_history_format_2(old, load_config(cfg), "affine_extension", 0.5, histories)
     meta_doc = json.loads((tmp_path / "out" / "run_meta.json").read_text())
-    return path.read_text().splitlines(), meta_doc
+    return {2: old.read_text().splitlines(), 3: path.read_text().splitlines(),
+            "sidecar": sidecar_path(path).read_bytes(), "meta_doc": meta_doc}
 
 
-def test_history_format_2_key_order(history_lines):
-    # the records are the dataclass fields in declaration order, less each
-    # step's `yhat`: a field added to or moved in IterationHistory,
-    # InitialRecord, IterationRecord or the config blocks changes format 2 and
+def test_history_format_3_key_order(history_lines):
+    # the records are the dataclass fields in declaration order, less the
+    # vectors (the initial `yhat`, each step's `z`, `yhat` and `yhat_next`),
+    # which go to the sidecar: a field added to or moved in IterationHistory,
+    # InitialRecord, IterationRecord or the config blocks changes format 3 and
     # must show up here
-    lines, meta_doc = history_lines
+    lines, meta_doc = history_lines[3], history_lines["meta_doc"]
     records = [json.loads(line) for line in lines]
     first = {}
     for rec in records:
         first.setdefault(rec["type"], rec)
     assert list(first) == ["filemeta", "meta", "initial", "iteration"]
-    assert first["filemeta"]["format"] == 2
+    assert first["filemeta"]["format"] == 3
     assert list(first["filemeta"]) == [
         "type", "format", "algorithm", "alpha", "beta", "iterations", "loss", "folds",
-        "seed", "dataset", "verdict"]
+        "seed", "dataset", "verdict", "vectors"]
     assert list(first["filemeta"]["loss"]) == ["kind", "huber_m"]
     assert list(first["filemeta"]["verdict"]) == [
         "verdict", "alpha_bound", "lipschitz_constant", "note"]
+    vectors = first["filemeta"]["vectors"]
+    assert list(vectors) == ["rows", "bytes"]
+    steps = [sum(r["type"] == "iteration" and r["fold"] == j for r in records) for j in (0, 1)]
+    assert vectors["bytes"] == len(history_lines["sidecar"]) == sum(
+        8 * n * (1 + 2 * k) for n, k in zip(vectors["rows"], steps, strict=True))
     assert list(first["meta"]) == [
         "fold", "type", "algorithm", "alpha", "beta", "iterations", "loss", "learner",
         "seed", "norm", "verdict", "stopped_early", "branch_counts"]
@@ -315,9 +329,9 @@ def test_history_format_2_key_order(history_lines):
         "kind", "ridge_lambda", "n_trees", "max_depth", "learning_rate",
         "min_samples_leaf", "seed"]
     assert list(first["initial"]) == [
-        "fold", "type", "i", "r2_train", "r2_test", "c_train", "c_test", "yhat"]
+        "fold", "type", "i", "r2_train", "r2_test", "c_train", "c_test"]
     assert list(first["iteration"]) == [
-        "fold", "type", "i", "branch", "z", "yhat_next", "r2_train", "r2_test",
+        "fold", "type", "i", "branch", "r2_train", "r2_test",
         "c_train", "c_test", "residual", "contraction", "solver_method",
         "solver_iterations", "solver_converged", "solver_primal", "solver_dual",
         "fallback"]
@@ -333,50 +347,81 @@ def test_history_format_2_key_order(history_lines):
     assert meta_doc["runs"][0]["verdict"] == first["filemeta"]["verdict"]
 
 
-def _edit_first_iteration(edit):
+def _edit_line(index, edit):
     def damage(lines):
-        rec = json.loads(lines[3])
+        rec = json.loads(lines[index])
         edit(rec)
-        return lines[:3] + [json.dumps(rec)] + lines[4:]
+        return lines[:index] + [json.dumps(rec)] + lines[index + 1:]
     return damage
 
 
 def _set_format(version):
-    def damage(lines):
-        filemeta = json.loads(lines[0])
-        filemeta["format"] = version
-        return [json.dumps(filemeta)] + lines[1:]
-    return damage
+    return _edit_line(0, lambda filemeta: filemeta.update(format=version))
 
 
-@pytest.mark.parametrize("damage, message", [
+STRUCTURAL_DAMAGE = [
     (lambda lines: lines[:2] + [lines[2][:40]], "line 3 is not valid JSON"),
     (lambda lines: lines[:1] + ["[1, 2]"] + lines[2:], "line 2 is not a JSON object"),
     (lambda lines: lines[:2], "must start with a meta record and then an initial record"),
-    (_edit_first_iteration(lambda rec: rec.pop("residual")), "missing field 'residual'"),
-    (_edit_first_iteration(lambda rec: rec.update(z="0.5")), "IterationRecord.z"),
-    (lambda lines: lines[:-1], "unequal iteration counts"),
-    (_set_format(7), "unknown history format 7"),
-    (_set_format(1), "missing field 'yhat'"),  # format 1 carries each step's yhat
-], ids=["cut-mid-line", "not-an-object", "meta-only", "missing-field", "wrong-type",
-        "unequal-folds", "unknown-format", "format-1-without-yhat"])
-def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
-                                           capsys, caplog):
+    (_edit_line(3, lambda rec: rec.pop("residual")), "missing field 'residual'"),
+]
+STRUCTURAL_IDS = ["cut-mid-line", "not-an-object", "meta-only", "missing-field"]
+
+
+@pytest.mark.parametrize("version, damage, message", [
+    *((2, damage, message) for damage, message in STRUCTURAL_DAMAGE),
+    (2, _edit_line(3, lambda rec: rec.update(z="0.5")), "IterationRecord.z"),
+    (2, lambda lines: lines[:-1], "unequal iteration counts"),
+    (2, _set_format(7), "unknown history format 7"),
+    (2, _set_format(1), "missing field 'yhat'"),  # format 1 carries each step's yhat
+    *((3, damage, message) for damage, message in STRUCTURAL_DAMAGE),
+    (3, _edit_line(3, lambda rec: rec.update(solver_iterations="3")),
+     "IterationRecord.solver_iterations"),
+    (3, lambda lines: lines[:-1], "unequal iteration counts"),
+    (3, _set_format(2), "InitialRecord: missing field 'yhat'"),
+    (3, _edit_line(0, lambda filemeta: filemeta["vectors"].update(bytes=8)),
+     "'vectors' entry does not match the records"),
+], ids=[*STRUCTURAL_IDS, "wrong-type", "unequal-folds", "unknown-format",
+        "format-1-without-yhat", *(f"format-3-{name}" for name in STRUCTURAL_IDS),
+        "format-3-wrong-type", "format-3-unequal-folds", "format-3-read-as-format-2",
+        "format-3-vectors-meta"])
+def test_malformed_history_is_a_data_error(tmp_path, history_lines, version, damage,
+                                           message, capsys, caplog):
+    # format-2 files are the oracle's; a format-3 file keeps its intact sidecar
     path = tmp_path / "damaged.jsonl"
-    path.write_text("\n".join(damage(history_lines[0])) + "\n")
+    path.write_text("\n".join(damage(history_lines[version])) + "\n")
+    if version == 3:
+        sidecar_path(path).write_bytes(history_lines["sidecar"])
     assert main(["plotdata", str(path)]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and message in err
     assert "unhandled failure" not in caplog.text
 
 
+@pytest.mark.parametrize("damage", [
+    lambda data: None, lambda data: data[:-8], lambda data: data + bytes(8),
+], ids=["missing", "short", "long"])
+def test_damaged_sidecar_is_a_data_error(tmp_path, history_lines, damage, capsys, caplog):
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(history_lines[3]) + "\n")
+    data = damage(history_lines["sidecar"])
+    if data is not None:
+        sidecar_path(path).write_bytes(data)
+    for command in (["plotdata", str(path)], ["compare", str(path), str(path)]):
+        assert main(command) == 1
+        assert str(sidecar_path(path)) in capsys.readouterr().err
+    with pytest.raises(DataError, match=re.escape(str(sidecar_path(path)))):
+        load_history_file(path)
+    assert "unhandled failure" not in caplog.text
+
+
 def assert_same_fields(a, b, where="history"):
-    """Dataclasses field by field: arrays by np.array_equal, NaN equal to NaN."""
+    """Dataclasses field by field: arrays bit for bit, NaN equal to NaN."""
     assert type(a) is type(b), where
     for f in fields(a):
         x, y, at = getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
         if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), at
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), at
         elif is_dataclass(x):
             assert_same_fields(x, y, at)
         elif isinstance(x, list):
@@ -389,32 +434,53 @@ def assert_same_fields(a, b, where="history"):
             assert type(x) is type(y) and x == y, at
 
 
-def test_history_formats_1_and_2_load_equal(tmp_path, csv_50, capsys):
+def test_history_formats_1_2_and_3_load_equal(tmp_path, csv_50, capsys, monkeypatch):
     cfg = load_config(write_config(tmp_path, csv_50, iterations=5))
     histories = [_run_one(cfg, "affine_extension", 0.5, fold) for fold in prepare_folds(cfg)]
-    old, new = tmp_path / "format1.jsonl", tmp_path / "format2.jsonl"
-    write_history_format_1(old, cfg, "affine_extension", 0.5, histories)
-    write_history_file(new, cfg, "affine_extension", 0.5, histories)
-    assert new.stat().st_size < old.stat().st_size
-    (meta_1, read_1), (meta_2, read_2) = load_history_file(old), load_history_file(new)
-    assert (meta_1.pop("format"), meta_2.pop("format")) == (1, 2) and meta_1 == meta_2
-    assert len(read_1) == len(read_2) == len(histories)
+    histories[0].records[1].z[:3] = [np.nan, -0.0, np.inf]  # bits JSON text must keep too
+    paths = [tmp_path / f"format{k}.jsonl" for k in (1, 2, 3)]
+    write_history_format_1(paths[0], cfg, "affine_extension", 0.5, histories)
+    write_history_format_2(paths[1], cfg, "affine_extension", 0.5, histories)
+    write_history_file(paths[2], cfg, "affine_extension", 0.5, histories)
+    sizes = [p.stat().st_size for p in paths]
+    assert sizes[2] + sidecar_path(paths[2]).stat().st_size < sizes[1] < sizes[0]
+    loaded = [load_history_file(p) for p in paths]
+    metas = [meta for meta, _ in loaded]
+    assert [meta.pop("format") for meta in metas] == [1, 2, 3]
+    rows = [h.initial.yhat.size for h in histories]
+    assert metas[2].pop("vectors") == {"rows": rows, "bytes": sidecar_path(paths[2]).stat().st_size}
+    assert metas[0] == metas[1] == metas[2]
     assert np.isnan(histories[0].records[0].contraction)  # NaN is covered
-    for h, a, b in zip(histories, read_1, read_2):
-        assert_same_fields(a, h)
-        assert_same_fields(b, h)
-        # format 2 holds each prediction once
-        steps = b.records
-        assert steps[0].yhat is b.initial.yhat
-        assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
+    # format 3 reads its sidecar once: every vector is a view into one array
+    base = loaded[2][1][0].initial.yhat.base
+    assert base is not None and all(v.base is base for h in loaded[2][1] for v in h.vectors())
+    for k, h in enumerate(histories):
+        for _, read in loaded:
+            assert_same_fields(read[k], h)
+        for _, read in loaded[1:]:
+            # from format 2 on, each prediction is held once
+            steps = read[k].records
+            assert steps[0].yhat is read[k].initial.yhat
+            assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
 
     def output(*args):
         capsys.readouterr()
         assert main([*args]) == 0
         return capsys.readouterr().out
 
-    assert output("plotdata", str(old)) == output("plotdata", str(new))
-    assert output("compare", str(old), str(new)) == output("compare", str(new), str(new))
+    def unread(*args, **kwargs):
+        raise AssertionError("the sidecar was read")
+
+    # plotdata and compare read scalars only: the format-3 sidecar stays unread
+    monkeypatch.setattr(np, "fromfile", unread)
+    one, two, three = (str(p) for p in paths)
+    assert output("plotdata", one) == output("plotdata", two) == output("plotdata", three)
+    same = output("compare", three, three)
+    assert output("compare", one, three) == output("compare", two, three) == same
+    assert output("compare", one, two) == output("compare", three, one) == same
+    _, scalars = load_history_file(paths[2], vectors=False)
+    assert scalars[0].initial.yhat is None and scalars[0].records[0].z is None
+    assert plotdata_rows(scalars) == plotdata_rows(loaded[0][1])
 
 
 def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):
@@ -425,7 +491,7 @@ def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):
                      "--out", str(tmp_path / f"jobs{jobs}")]) == 0
     one = sorted((tmp_path / "jobs1").iterdir())
     two = sorted((tmp_path / "jobs2").iterdir())
-    assert [p.name for p in one] == [p.name for p in two] and len(one) == 6
+    assert [p.name for p in one] == [p.name for p in two] and len(one) == 10
     for a, b in zip(one, two):
         assert a.read_bytes() == b.read_bytes(), a.name
 

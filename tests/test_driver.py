@@ -180,6 +180,8 @@ def test_history_deterministic():
     a = run_affine_extension(config, ds, ds)
     b = run_affine_extension(config, ds, ds)
     assert a.to_records() == b.to_records()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.vectors(), b.vectors(),
+                                                          strict=True))
 
 
 def test_history_round_trip():
@@ -190,8 +192,9 @@ def test_history_round_trip():
                        loss=LossSpec("huber", 0.1), learner=RIDGE0)
     history = run_affine_extension(config, ds, ds)
     records = history.to_records()
-    back = IterationHistory.from_records(records)
+    back = IterationHistory.from_records(records, vectors=history.vectors())
     assert back.to_records() == records
+    assert all(x is y for x, y in zip(back.vectors(), history.vectors(), strict=True))
 
 
 def test_series_lengths_and_norm():

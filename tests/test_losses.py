@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from confit.losses import (LossSpec, MSE, MAE, loss_value, pointwise, prox,
                            prox_pair, project_ball, loss_norm)
-from oracles import golden_section, huber_pair_prox_bisection
+from oracles import golden_section, huber_pair_prox_bisection, mae_pair_prox_reference
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -152,6 +152,29 @@ def test_huber_pair_prox_matches_bisection_oracle(pair):
     span = np.max([v, a1, a2], axis=0) - np.min([v, a1, a2], axis=0)
     slack = 1e-9 * span + 4 * np.finfo(float).eps * np.max(np.abs([v, a1, a2]), axis=0)
     assert np.all(np.abs(got - want) <= slack)
+
+
+@st.composite
+def mae_pairs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    v, a1, a2 = rng.standard_normal((3, n))
+    if draw(st.booleans()):  # on a 0.1 grid, stationary points land on the kinks
+        v, a1, a2 = (np.round(10.0 * x) / 10.0 for x in (v, a1, a2))
+    if draw(st.booleans()):
+        a2 = a1.copy()
+    t = draw(st.sampled_from([1e-3, 0.1, 0.3, 1.0, "per-coordinate"]))
+    if t == "per-coordinate":
+        t = rng.uniform(1e-3, 2.0, n)
+    return t, v, a1, a2, draw(st.sampled_from([0.0, 1.0 / 9.0, 1.0, 9.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mae_pairs())
+def test_mae_pair_prox_matches_reference_bit_for_bit(pair):
+    t, v, a1, a2, w2 = pair
+    got = prox_pair(MAE, t, v, a1, a2, w2)
+    assert got.tobytes() == mae_pair_prox_reference(t, v, a1, a2, w2).tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind)
