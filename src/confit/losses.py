@@ -185,27 +185,43 @@ def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float)
         k = np.nonzero(u * np.arange(1, n + 1) > (css - r))[0][-1]
         theta = (css[k] - r) / (k + 1.0)
         return center + np.sign(d) * np.maximum(np.abs(d) - theta, 0.0)
-    # huber: bisection on the KKT multiplier of the sublevel constraint
+    # huber: the solution is prox_unit(nu) for the multiplier nu > 0 at which
+    # excess(nu) = sum g(prox_unit(nu) - center) - n*beta, decreasing, is 0.
+    # Coordinate k (|d| sorted ascending) is on g's linear piece, at distance
+    # |d_k| - 2*nu*m from the center, until nu reaches its kink (|d_k|/m - 1)/2,
+    # and on the quadratic piece, at |d_k|/(1 + 2*nu), after it. Between two
+    # kinks, with the coordinates from j on still linear, the excess is
+    #     lin[j] - 4 m^2 (n - j) nu + quad[j] / (1 + 2 nu)^2 - target,
+    # convex and decreasing, so Newton steps from the piece's left end climb
+    # to the root without passing it.
     target = n * beta
     if float(pointwise(spec, d).sum()) <= target:
         return v.copy()
+    m = spec.huber_m
+    a = np.sort(np.abs(d))
+    kinks = (a / m - 1.0) / 2.0
+    quad = np.concatenate([[0.0], np.cumsum(a * a)])
+    lin = np.concatenate([np.cumsum((2.0 * m * a - m * m)[::-1])[::-1], [0.0]])
+    slope = 4.0 * m * m * (n - np.arange(n + 1))
 
-    def excess(nu):
-        z = prox_unit(spec, nu, v, center)
-        return float(pointwise(spec, z - center).sum()) - target
+    def excess(nu, j):
+        return lin[j] - slope[j] * nu + quad[j] / (1.0 + 2.0 * nu) ** 2 - target
 
-    nu_lo, nu_hi = 0.0, 1.0
-    while excess(nu_hi) > 0:
-        nu_hi *= 2.0
-        if nu_hi > 1e15:
-            break
-    for _ in range(200):
-        nu_mid = 0.5 * (nu_lo + nu_hi)
-        if excess(nu_mid) > 0:
-            nu_lo = nu_mid
-        else:
-            nu_hi = nu_mid
-    return prox_unit(spec, nu_hi, v, center)
+    first = int(np.searchsorted(kinks, 0.0, side="right"))  # the first kink past 0
+    js = np.arange(first, n)
+    hit = np.flatnonzero(excess(kinks[js], js + 1) <= 0.0)  # coordinate j on its kink
+    j = first + int(hit[0]) if hit.size else n
+    if j == n:  # every coordinate quadratic at the root: a closed form
+        nu = 0.5 * (np.sqrt(quad[n] / target) - 1.0)
+    else:
+        nu = float(kinks[j - 1]) if j > first else 0.0
+        for _ in range(100):
+            h = excess(nu, j)
+            step = h / (slope[j] + 4.0 * quad[j] / (1.0 + 2.0 * nu) ** 3)
+            if h <= 0.0 or step <= 4e-16 * nu:
+                break
+            nu += step
+    return prox_unit(spec, nu, v, center)
 
 
 def loss_norm(spec: LossSpec, v: np.ndarray) -> float:

@@ -11,21 +11,27 @@ Three routes, picked automatically:
   multiplier, each evaluation an inner Dykstra projection of the reweighted
   anchor;
 * everything else (absolute/Huber losses, auxiliary variables, combined
-  two-anchor objectives): a primal-dual splitting iteration whose primal step
-  is the closed-form loss prox and whose dual blocks are one multiplier per
-  linear row plus an optional loss-ball block.
+  two-anchor objectives): a restarted primal-dual (PDHG) iteration whose
+  primal step is the closed-form loss prox and whose dual blocks are one
+  multiplier per linear row plus an optional loss-ball block. Following PDLP
+  (Applegate et al., NeurIPS 2021; Applegate, Hinder, Lu & Lubin, Math.
+  Programming 2023), it restarts from the better of the current iterate and
+  the average since the last restart, judged by the fixed-point residual,
+  and at each restart it moves the primal weight omega that splits the step
+  into tau = eta/omega and sigma = eta*omega.
 
 The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
 the operator norm) is built once per ConstraintSet and kept on it.
 
-Warm starts carry primal/dual iterates between consecutive solves (sound for
-the primal-dual route; Dykstra corrections are never reused because they are
-tied to the projected point) and the ball multiplier between consecutive ball
-solves.
+Warm starts carry the primal/dual iterates and the primal weight between
+consecutive solves (sound for the primal-dual route; Dykstra corrections are
+never reused because they are tied to the projected point) and the ball
+multiplier between consecutive ball solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,27 +195,39 @@ def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
     return x, sweeps, geom.violation(x), change
 
 
+# PDLP's restart rules and primal-weight smoothing (Applegate et al. 2021)
+RESTART_SUFFICIENT = 0.2
+RESTART_NECESSARY = 0.8
+RESTART_ARTIFICIAL = 0.36
+PRIMAL_WEIGHT_SMOOTHING = 0.5
+STEP_FRACTION = 0.95  # eta = STEP_FRACTION / ||K||, K the rows plus the ball block
+
+
 def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
           ball=None, anchor_start=None):
-    """Primal-dual iteration: primal prox on z (identity on aux), per-row dual
-    ascent, optional loss-ball dual block."""
+    """Restarted primal-dual iteration: primal prox on z (identity on aux),
+    per-row dual ascent, optional loss-ball dual block, with the steps
+    tau = eta/omega and sigma = eta*omega of the primal weight omega.
+
+    Every 10 iterations the fixed-point residual of the iterate is compared
+    with that of one step from the average of the iterates since the last
+    restart. The better of the two is the candidate, and the iteration
+    restarts there when its residual has fallen to RESTART_SUFFICIENT of the
+    one at the last restart, to RESTART_NECESSARY of it while rising from
+    the previous candidate's, or when the restart is RESTART_ARTIFICIAL of
+    all iterations old. A restart moves log(omega) part of the way to the
+    log-ratio of the dual to the primal movement since the last restart.
+    """
     n, width, m = geom.n, geom.width, geom.m
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
     at = a.T
     norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
-    nk = np.sqrt(max(norm2, 1e-12))
-    tau = 1.0 / nk
-    sig = 1.0 / nk
-    x = None
-    if state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
-            and state["x"].size == width and state["y"].size == m \
-            and (ball is None) == (state.get("yb") is None):
-        x = state["x"].copy()
-        y = state["y"].copy()
-        yb = state["yb"].copy() if state.get("yb") is not None else None
-        tau = state.get("tau", tau)
-        sig = state.get("sig", sig)
-    if x is None:
+    eta = STEP_FRACTION / np.sqrt(max(norm2, 1e-12))
+    omega = 1.0
+    if state is not None and state.get("kind") == "pdhg" and state["x"].size == width \
+            and state["y"].size == m and (ball is None) == (state["yb"] is None):
+        x, y, yb, omega = state["x"], state["y"], state["yb"], state["omega"]
+    else:
         x = np.zeros(width)
         if anchor_start is not None:
             x[:n] = np.clip(anchor_start, lower[:n], upper[:n])
@@ -217,10 +235,9 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         yb = np.zeros(n) if ball is not None else None
     if ball is not None:
         center, beta, spec = ball
-    it = 0
-    pri = dua = np.inf
-    for it in range(1, max_iter + 1):
-        x_old = x
+
+    def step(x, y, yb):
+        """One PDHG step from (x, y, yb); returns new arrays."""
         grad = at @ y
         if ball is not None:
             grad[:n] += yb
@@ -229,43 +246,87 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
             xn[:n] = prox_z(xn[:n], tau)
         else:
             xn = prox_z(xn, tau)
-        xn.clip(lower, upper, out=xn)
+        np.minimum(np.maximum(xn, lower, out=xn), upper, out=xn)
         x_relaxed = 2.0 * xn - x
-        y_old = y
-        y = a @ x_relaxed
-        y -= b
-        y *= sig
-        y += y_old
-        np.maximum(y, y_floor, out=y)
+        yn = a @ x_relaxed
+        yn -= b
+        yn *= sig
+        yn += y
+        np.maximum(yn, y_floor, out=yn)
+        if ball is None:
+            return xn, yn, None
+        t2 = yb + sig * x_relaxed[:n]
+        return xn, yn, t2 - sig * project_ball(spec, t2 / sig, center, beta)
+
+    def residual(x0, y0, yb0, x1, y1, yb1):
+        """The primal and dual parts of P (z0 - z1), with P the PDHG metric:
+        for z1 the step from z0, a KKT residual of z1, root mean square."""
+        dx = x0 - x1
+        dy = y0 - y1
+        p = dx / tau - at @ dy
+        d = dy / sig - a @ dx
+        dd = float(d @ d)
         if ball is not None:
-            yb_old = yb
-            t2 = yb + sig * x_relaxed[:n]
-            yb = t2 - sig * project_ball(spec, t2 / sig, center, beta)
-        x = xn
-        if it % 10 == 0 or it == max_iter:
-            p = (x_old - x) / tau - at @ (y_old - y)
-            if ball is not None:
-                p[:n] -= yb_old - yb
-            d_parts = []
-            if m:
-                d_parts.append((y_old - y) / sig - a @ (x_old - x))
-            if ball is not None:
-                d_parts.append((yb_old - yb) / sig - (x_old - x)[:n])
-            dvec = np.concatenate(d_parts) if d_parts else np.zeros(1)
-            pri = float(np.linalg.norm(p) / np.sqrt(width))
-            dua = float(np.linalg.norm(dvec) / np.sqrt(max(dvec.size, 1)))
-            if pri <= tol and dua <= tol:
+            dyb = yb0 - yb1
+            p[:n] -= dyb
+            d = dyb / sig - dx[:n]
+            dd += float(d @ d)
+        return (math.sqrt(float(p @ p) / width),
+                math.sqrt(dd / max(m + (n if ball is not None else 0), 1)))
+
+    tau, sig = eta / omega, eta * omega
+    x0, y0, yb0 = x, y, yb  # the last restart point
+    x_sum, y_sum = np.zeros(width), np.zeros(m)
+    yb_sum = np.zeros(n) if ball is not None else None
+    since = 0  # iterations since the last restart
+    r_restart = r_last = np.inf
+    it = 0
+    pri = dua = np.inf
+    for it in range(1, max_iter + 1):
+        x_old, y_old, yb_old = x, y, yb
+        x, y, yb = step(x, y, yb)
+        since += 1
+        x_sum += x
+        y_sum += y
+        if ball is not None:
+            yb_sum += yb
+        if it % 10 and it != max_iter:
+            continue
+        pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
+        if pri <= tol and dua <= tol:
+            break
+        xa, ya = x_sum / since, y_sum / since
+        yba = yb_sum / since if ball is not None else None
+        avg = step(xa, ya, yba)
+        pa, da = residual(xa, ya, yba, *avg)
+        r_cand, r_avg = math.hypot(pri, dua), math.hypot(pa, da)
+        averaged = r_avg < r_cand
+        if averaged:
+            r_cand = r_avg
+            if pa <= tol and da <= tol:
+                (x, y, yb), pri, dua = avg, pa, da
                 break
-            if it % 50 == 0 and pri > 0 and dua > 0:
-                ratio = pri / dua
-                if ratio > 10.0:
-                    tau *= 2.0
-                    sig /= 2.0
-                elif ratio < 0.1:
-                    tau /= 2.0
-                    sig *= 2.0
-    state_out = {"kind": "pdhg", "x": x, "y": y, "yb": yb, "tau": tau, "sig": sig}
-    return x, pri, dua, it, state_out
+        if not (r_cand <= RESTART_SUFFICIENT * r_restart
+                or RESTART_NECESSARY * r_restart >= r_cand > r_last
+                or since >= RESTART_ARTIFICIAL * it):
+            r_last = r_cand
+            continue
+        if averaged:
+            (x, y, yb), pri, dua = avg, pa, da
+        # how far the primal and the dual parts moved since the last restart
+        dx = float(np.linalg.norm(x - x0))
+        dy = math.sqrt(float((y - y0) @ (y - y0))
+                       + (float((yb - yb0) @ (yb - yb0)) if ball is not None else 0.0))
+        if dx > 1e-10 and dy > 1e-10:
+            omega = math.exp(PRIMAL_WEIGHT_SMOOTHING * math.log(dy / dx)
+                             + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(omega))
+            tau, sig = eta / omega, eta * omega
+        x0, y0, yb0 = x, y, yb
+        x_sum, y_sum = np.zeros(width), np.zeros(m)
+        yb_sum = np.zeros(n) if ball is not None else None
+        since = 0
+        r_restart, r_last = r_cand, np.inf
+    return x, pri, dua, it, {"kind": "pdhg", "x": x, "y": y, "yb": yb, "omega": omega}
 
 
 def _finish(geom: _Geometry, x: np.ndarray) -> np.ndarray:
@@ -361,8 +422,14 @@ def _ball_multiplier_mse(geom: _Geometry, anchor, center, beta, opts, warm):
     nu_hi = 1.0 if warm is None or warm.get("kind") != "ball-nu" else max(warm["nu"], 1e-6)
     x, viol, change, value = inner(nu_hi)
     while value > beta and nu_hi <= 1e14:
-        nu_lo, phi_lo = nu_hi, value - beta
-        nu_hi *= 4.0
+        # phi is decreasing and mostly convex, so the secant through the last
+        # two points crosses 0 short of the root: step twice as far, and at
+        # most to four times nu_hi
+        phi = value - beta
+        grow = 4.0 * nu_hi
+        if phi < phi_lo:
+            grow = min(grow, nu_hi + 2.0 * phi * (nu_hi - nu_lo) / (phi_lo - phi))
+        nu_lo, phi_lo, nu_hi = nu_hi, phi, grow
         x, viol, change, value = inner(nu_hi)
     gap_hi = phi_hi = value - beta  # phi_lo and phi_hi may be halved; gap_hi stays exact
     kept = 0  # +1: the last step moved nu_hi, -1: it moved nu_lo

@@ -190,6 +190,45 @@ def ball_multiplier_bisection(project, anchor, center, beta, tol, warm_nu=None):
     return inner(nu_hi), nu_hi
 
 
+def huber_ball_bisection(v, center, beta, m):
+    """Euclidean projection of v onto {z : mean huber_m(z - center) <= beta}.
+
+    The solution is the huber prox toward the center at the multiplier nu of
+    the sublevel constraint. nu is bracketed by doubling it from 1 (up to
+    1e15) until the prox lies inside, then bisected 200 times, and the prox at
+    the upper end is returned."""
+    v = np.asarray(v, dtype=float)
+    center = np.asarray(center, dtype=float)
+    d = v - center
+    target = v.size * beta
+
+    def huber(x):
+        ax = np.abs(x)
+        return np.where(ax <= m, x * x, 2.0 * m * ax - m * m)
+
+    def prox(nu):
+        inside = np.abs(d) <= m * (1.0 + 2.0 * nu)
+        return center + np.where(inside, d / (1.0 + 2.0 * nu), d - 2.0 * nu * m * np.sign(d))
+
+    def excess(nu):
+        return float(huber(prox(nu) - center).sum()) - target
+
+    if float(huber(d).sum()) <= target:
+        return v.copy()
+    nu_lo, nu_hi = 0.0, 1.0
+    while excess(nu_hi) > 0:
+        nu_hi *= 2.0
+        if nu_hi > 1e15:
+            break
+    for _ in range(200):
+        nu_mid = 0.5 * (nu_lo + nu_hi)
+        if excess(nu_mid) > 0:
+            nu_lo = nu_mid
+        else:
+            nu_hi = nu_mid
+    return prox(nu_hi)
+
+
 def huber_location_bisection(residual, m, steps=80):
     """argmin_c sum huber(residual_i - c), by bisecting the sign of the
     derivative sum 2*clip(residual_i - c, -m, m) over [min, max]."""

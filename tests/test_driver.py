@@ -13,6 +13,7 @@ from confit.driver import (IterationHistory, RunConfig, alpha_convert,
 from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE
 from confit.solver import ProjectionProblem, SolverOptions, project
+from test_acceptance import make_instance
 
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
 TIGHT = SolverOptions(tolerance=1e-10, max_iterations=200000)
@@ -247,4 +248,18 @@ def test_unconverged_solve_logs_one_warning(caplog):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="confit"):
         run_affine_extension(replace(config, solver=TIGHT), ds, ds)
+    assert not caplog.records
+
+
+def test_default_solver_converges_on_every_mae_blend_solve(caplog):
+    # before restarts and the primal weight, 12 of these 28 pdhg-blend
+    # solves stopped at the default 20,000-iteration cap
+    ds, cs = make_instance(np.random.default_rng(0), 10)
+    config = RunConfig(alpha=0.9, constraints=cs, beta=0.05, loss=MAE,
+                       algorithm="moving_targets")
+    with caplog.at_level(logging.WARNING, logger="confit"):
+        history = run_moving_targets(config, ds, ds)
+    blend = [r for r in history.records if r.solver_method == "pdhg-blend"]
+    assert len(blend) == 28
+    assert all(r.solver_converged for r in blend)
     assert not caplog.records

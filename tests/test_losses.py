@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from confit.losses import (LossSpec, MSE, MAE, loss_value, pointwise, prox,
                            prox_pair, project_ball, loss_norm)
-from oracles import golden_section, huber_pair_prox_bisection, mae_pair_prox_reference
+from oracles import (golden_section, huber_ball_bisection, huber_pair_prox_bisection,
+                     mae_pair_prox_reference)
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -199,6 +200,20 @@ def test_project_ball_properties(spec):
             w = c + (rng.uniform(-1, 1, n)) * 0.5
             if loss_value(spec, w, c) <= beta:
                 assert np.linalg.norm(z - v) <= np.linalg.norm(w - v) + 1e-7
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       m=st.sampled_from([0.01, 0.1, 0.5]), spread=st.sampled_from([0.01, 0.1, 1.0]),
+       beta=st.floats(1e-4, 0.5))
+def test_huber_ball_projection_matches_bisection_oracle(seed, n, m, spread, beta):
+    rng = np.random.default_rng(seed)
+    spec = LossSpec("huber", huber_m=m)
+    c = rng.uniform(0, 1, n)
+    v = c + spread * rng.standard_normal(n)
+    z = project_ball(spec, v, c, beta)
+    assert np.max(np.abs(z - huber_ball_bisection(v, c, beta, m))) <= 1e-12
+    assert loss_value(spec, z, c) <= beta * (1.0 + 1e-10)
 
 
 def test_project_ball_beta_zero_returns_center():
