@@ -9,6 +9,7 @@ and only the part under test is independent.
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +286,13 @@ def dykstra_reference(geom, v, tol, max_sweeps):
     return x, sweeps, violation(x), change
 
 
-def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                   project_ball=None):
-    """The primal-dual iteration as first written, before its per-iteration
-    work was trimmed: primal prox on z (identity on aux), per-row dual ascent
-    with the inequality multipliers clipped at 0 through a mask, an optional
-    loss-ball dual block, and tau/sigma rebalanced every 50 iterations.
+def pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state=None, ball=None,
+                               anchor_start=None, project_ball=None):
+    """The primal-dual iteration without restarts: primal prox on z (identity
+    on aux), per-row dual ascent with the inequality multipliers clipped at 0
+    through a mask, an optional loss-ball dual block, and tau/sigma rebalanced
+    every 50 iterations. A second algorithm for the same projection, so its
+    converged answer checks the restarted one's.
 
     `geom` carries the prepared rows (`a`, `b`, inequalities first, `m_ineq`
     of them), the bounds, `n`, `width`, `m` and `op_norm`; `ball` is
@@ -367,6 +369,130 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
                     sig *= 2.0
     state_out = {"kind": "pdhg", "x": x.copy(), "y": y.copy(),
                  "yb": None if yb is None else yb.copy(), "tau": tau, "sig": sig}
+    return x, pri, dua, it, state_out
+
+
+def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
+                   project_ball=None):
+    """The restarted primal-dual iteration written out plainly: fresh arrays
+    every step, the inequality multipliers clipped at 0 through a mask, and
+    the restart rules of Applegate et al. (2021) spelled out with their
+    constants: every 10 iterations, compare the fixed-point residual of the
+    iterate with that of one step from the average since the last restart,
+    and restart from the better one on sufficient decay (0.2), necessary
+    decay (0.8) with no progress, or when the restart is 0.36 of all
+    iterations old; each restart moves log(omega) half way to log(dual /
+    primal movement). Steps are tau = eta/omega, sigma = eta*omega with
+    eta = 0.95/||K||.
+
+    Arguments are those of `pdhg_unrestarted_reference`; the state carries
+    omega in place of tau and sigma.
+    """
+    n, width, m = geom.n, geom.width, geom.m
+    eq_mask = np.arange(m) >= geom.m_ineq
+    norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
+    eta = 0.95 / np.sqrt(max(norm2, 1e-12))
+    omega = 1.0
+    x = None
+    if state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
+            and state["x"].size == width and state["y"].size == m \
+            and (ball is None) == (state.get("yb") is None):
+        x = state["x"].copy()
+        y = state["y"].copy()
+        yb = state["yb"].copy() if state.get("yb") is not None else None
+        omega = state["omega"]
+    if x is None:
+        x = np.zeros(width)
+        if anchor_start is not None:
+            x[:n] = np.clip(anchor_start, geom.lower[:n], geom.upper[:n])
+        y = np.zeros(m)
+        yb = np.zeros(n) if ball is not None else None
+
+    def step(x, y, yb, tau, sig):
+        grad = geom.a.T @ y if m else np.zeros(width)
+        if ball is not None:
+            grad[:n] += yb
+        v = x - tau * grad
+        xn = v.copy()
+        xn[:n] = prox_z(v[:n], tau)
+        np.clip(xn, geom.lower, geom.upper, out=xn)
+        x_relaxed = 2.0 * xn - x
+        yn = y.copy()
+        if m:
+            yn = y + sig * (geom.a @ x_relaxed - geom.b)
+            yn[~eq_mask] = np.maximum(yn[~eq_mask], 0.0)
+        ybn = None
+        if ball is not None:
+            t2 = yb + sig * x_relaxed[:n]
+            center, beta, spec = ball
+            ybn = t2 - sig * project_ball(spec, t2 / sig, center, beta)
+        return xn, yn, ybn
+
+    def residual(z0, z1, tau, sig):
+        (x0, y0, yb0), (x1, y1, yb1) = z0, z1
+        p = (x0 - x1) / tau - geom.a.T @ (y0 - y1)
+        d = (y0 - y1) / sig - geom.a @ (x0 - x1)
+        dd = float(d @ d)
+        count = m
+        if ball is not None:
+            p[:n] -= yb0 - yb1
+            d_ball = (yb0 - yb1) / sig - (x0 - x1)[:n]
+            dd += float(d_ball @ d_ball)
+            count += n
+        return math.sqrt(float(p @ p) / width), math.sqrt(dd / max(count, 1))
+
+    z = (x, y, yb)
+    tau, sig = eta / omega, eta * omega
+    z_restart = z
+    sums = [np.zeros(width), np.zeros(m), np.zeros(n) if ball is not None else None]
+    since = 0  # iterations since the last restart
+    r_restart = r_last = np.inf
+    it = 0
+    pri = dua = np.inf
+    for it in range(1, max_iter + 1):
+        z_old = z
+        z = step(*z, tau, sig)
+        since += 1
+        for k in range(3 if ball is not None else 2):
+            sums[k] += z[k]
+        if it % 10 and it != max_iter:
+            continue
+        pri, dua = residual(z_old, z, tau, sig)
+        if pri <= tol and dua <= tol:
+            break
+        z_avg = tuple(None if total is None else total / since for total in sums)
+        z_avg_step = step(*z_avg, tau, sig)
+        pa, da = residual(z_avg, z_avg_step, tau, sig)
+        r_cand = math.hypot(pri, dua)
+        averaged = math.hypot(pa, da) < r_cand
+        if averaged:
+            r_cand = math.hypot(pa, da)
+            if pa <= tol and da <= tol:
+                z, pri, dua = z_avg_step, pa, da
+                break
+        restart = (r_cand <= 0.2 * r_restart
+                   or (r_cand <= 0.8 * r_restart and r_cand > r_last)
+                   or since >= 0.36 * it)
+        if not restart:
+            r_last = r_cand
+            continue
+        if averaged:
+            z, pri, dua = z_avg_step, pa, da
+        moved_x = float(np.linalg.norm(z[0] - z_restart[0]))
+        moved_y2 = float((z[1] - z_restart[1]) @ (z[1] - z_restart[1]))
+        if ball is not None:
+            moved_y2 += float((z[2] - z_restart[2]) @ (z[2] - z_restart[2]))
+        moved_y = math.sqrt(moved_y2)
+        if moved_x > 1e-10 and moved_y > 1e-10:
+            omega = math.exp(0.5 * math.log(moved_y / moved_x) + 0.5 * math.log(omega))
+            tau, sig = eta / omega, eta * omega
+        z_restart = z
+        sums = [np.zeros(width), np.zeros(m), np.zeros(n) if ball is not None else None]
+        since = 0
+        r_restart, r_last = r_cand, np.inf
+    x, y, yb = z
+    state_out = {"kind": "pdhg", "x": x.copy(), "y": y.copy(),
+                 "yb": None if yb is None else yb.copy(), "omega": omega}
     return x, pri, dua, it, state_out
 
 

@@ -10,7 +10,8 @@ from confit.losses import LossSpec, MSE, MAE, loss_value, pointwise, project_bal
 from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
                            project, project_ball_intersection, project_blend)
 from oracles import (ball_multiplier_bisection, dykstra_reference, grid_search_2d,
-                     grid_search_3d, mse_ball_box_oracle, pdhg_reference)
+                     grid_search_3d, mse_ball_box_oracle, pdhg_reference,
+                     pdhg_unrestarted_reference)
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -363,12 +364,44 @@ def _pdhg_cases():
     ]
 
 
+def _same_report(got, want):
+    assert got.method == want.method
+    assert np.array_equal(got.solution, want.solution)
+    assert (got.iterations, got.primal_residual, got.dual_residual, got.converged) == \
+        (want.iterations, want.primal_residual, want.dual_residual, want.converged)
+    for key in ("x", "y", "yb"):
+        assert (got.state[key] is None) == (want.state[key] is None)
+        if got.state[key] is not None:
+            assert np.array_equal(got.state[key], want.state[key])
+    assert got.state["omega"] == want.state["omega"]
+
+
 PDHG_CONVERGING = SolverOptions(tolerance=1e-9, max_iterations=4000)
+PDHG_OPTIONS = pytest.mark.parametrize(
+    "opts", [PDHG_CONVERGING, SolverOptions(tolerance=1e-12, max_iterations=137)],
+    ids=["converging", "capped"])
 
 
-@pytest.mark.parametrize("opts", [PDHG_CONVERGING,
-                                  SolverOptions(tolerance=1e-12, max_iterations=137)],
-                         ids=["converging", "capped"])
+@PDHG_OPTIONS
+@pytest.mark.parametrize("route,cs,solve,objective,ball", _pdhg_cases())
+def test_pdhg_matches_reference_bit_for_bit(route, cs, solve, objective, ball, opts,
+                                            monkeypatch):
+    # cold, then warm-started from the cold state on a drifted anchor
+    cold = solve(opts, None, 0.0)
+    warm = solve(opts, cold.state, 0.01)
+    assert cold.method == warm.method == route
+
+    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None):
+        return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
+                              project_ball)
+
+    monkeypatch.setattr(solver, "_pdhg", reference)
+    cold_ref = solve(opts, None, 0.0)
+    _same_report(cold, cold_ref)
+    _same_report(warm, solve(opts, cold_ref.state, 0.01))
+
+
+@PDHG_OPTIONS
 @pytest.mark.parametrize("route,cs,solve,objective,ball", _pdhg_cases())
 def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, opts,
                                              monkeypatch):
@@ -386,8 +419,8 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
         assert again.converged and (again.iterations == 10 or again.iterations < rep.iterations)
 
     def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None):
-        return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
-                              project_ball)
+        return pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state, ball,
+                                          anchor_start, project_ball)
 
     monkeypatch.setattr(solver, "_pdhg", reference)
     for shift, rep in finished:
