@@ -3,12 +3,16 @@
 
 A ConstraintSet lives in the extended space (z, u) where u are auxiliary
 variables that linearize absolute values.  Every constructor certifies
-nonemptiness by exhibiting one feasible point.
+nonemptiness by exhibiting one feasible point: a candidate that is a member,
+or else the cyclic Dykstra projection of the bound midpoint onto the set.
+The prepared geometry, the Dykstra sweep and the violation measure that
+membership and the solvers share live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,59 +84,163 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a / norms[:, None], b / norms
 
 
-def _pocs_feasible(lower, upper, a_ineq, b_ineq, a_eq, b_eq, start,
-                   tol=1e-10, max_sweeps=5000):
-    """Cyclic projections feasibility probe; returns a point or None."""
-    x = np.clip(start, lower, upper)
-    m, me = a_ineq.shape[0], a_eq.shape[0]
-    for _ in range(max_sweeps):
-        np.clip(x, lower, upper, out=x)
-        for i in range(me):
-            x -= (a_eq[i] @ x - b_eq[i]) * a_eq[i]
-        for i in range(m):
-            viol = a_ineq[i] @ x - b_ineq[i]
-            if viol > 0:
-                x -= viol * a_ineq[i]
-        worst = max(
-            float(np.max(lower - x, initial=0.0)),
-            float(np.max(x - upper, initial=0.0)),
-            float(np.max(a_ineq @ x - b_ineq, initial=0.0)) if m else 0.0,
-            float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0)) if me else 0.0,
-        )
-        if worst <= tol:
-            return x
-    return None
+class _Geometry:
+    """Constraint data prepared for the solvers: bounds plus one matrix of
+    unit-normalized rows (the inequality rows first, then the equalities),
+    with auxiliary columns rescaled to match the magnitude of their companion
+    z coefficients.
+
+    The set's own unit rows and bounds are kept next to the rescaled ones
+    (the same rows when there are no auxiliaries) for membership tests.
+    """
+
+    def __init__(self, cs: ConstraintSet):
+        self.n = cs.n
+        self.n_aux = cs.n_aux
+        self.width = cs.width
+        rows = [cs.a_ineq, cs.a_eq]
+        a = np.vstack([r for r in rows if r.shape[0]]) if any(r.shape[0] for r in rows) \
+            else np.zeros((0, cs.width))
+        b = np.concatenate([cs.b_ineq, cs.b_eq])
+        self.m_ineq = cs.a_ineq.shape[0]
+        self.unit_a, self.unit_b = a, b
+        self.set_lower, self.set_upper = cs.lower, cs.upper
+        self.aux_scale = np.ones(cs.n_aux)
+        lower = cs.lower.astype(float).copy()
+        upper = cs.upper.astype(float).copy()
+        if cs.n_aux and a.shape[0]:
+            a = a.copy()
+            for j in range(cs.n_aux):
+                col = a[:, cs.n + j]
+                hit = np.flatnonzero(col)
+                if hit.size == 0:
+                    continue
+                znorm = np.linalg.norm(a[hit, :cs.n], axis=1)
+                good = znorm > 1e-14
+                if good.any():
+                    self.aux_scale[j] = float(np.exp(np.mean(
+                        np.log(znorm[good] / np.abs(col[hit][good])))))
+            a[:, cs.n:] *= self.aux_scale[None, :]
+            with np.errstate(invalid="ignore"):
+                lower[cs.n:] = lower[cs.n:] / self.aux_scale
+                upper[cs.n:] = upper[cs.n:] / self.aux_scale
+            norms = np.linalg.norm(a, axis=1)
+            a = a / norms[:, None]
+            b = b / norms
+        self.a = a
+        self.b = b
+        self.lower = lower
+        self.upper = upper
+        self.m = a.shape[0]
+        # floor of the row multipliers: 0 on inequalities, none on equalities
+        self.y_floor = np.where(np.arange(self.m) < self.m_ineq, 0.0, -np.inf)
+        # (row, rhs, is equality) for the Dykstra sweep
+        self.rows = [(a[i], b[i], i >= self.m_ineq) for i in range(self.m)]
+
+    @functools.cached_property
+    def op_norm(self) -> float:
+        """||a||_2 by power iteration; only the primal-dual route reads it."""
+        if self.m == 0:
+            return 0.0
+        v = np.full(self.width, 1.0 / np.sqrt(self.width))
+        nv = 1.0
+        for _ in range(40):
+            v = self.a.T @ (self.a @ v)
+            nv = float(np.linalg.norm(v))
+            if nv == 0:
+                return 0.0
+            v /= nv
+        return float(np.sqrt(nv))
+
+    def violation(self, x: np.ndarray) -> float:
+        """Worst violation of x in the solver's (rescaled) coordinates."""
+        return _worst_violation(self.lower, self.upper, self.a, self.b, self.m_ineq, x)
+
+    def member_violation(self, x: np.ndarray) -> float:
+        """Worst violation of x, z completed with its analytic auxiliaries,
+        on the set's own unit rows and bounds."""
+        return _worst_violation(self.set_lower, self.set_upper, self.unit_a, self.unit_b,
+                                self.m_ineq, x)
 
 
-def _violation(lower, upper, a_ineq, b_ineq, a_eq, b_eq, x) -> float:
-    worst = max(
-        float(np.max(lower - x, initial=0.0)),
-        float(np.max(x - upper, initial=0.0)),
-    )
-    if a_ineq.shape[0]:
-        worst = max(worst, float(np.max(a_ineq @ x - b_ineq)))
-    if a_eq.shape[0]:
-        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+def _worst_violation(lower, upper, a, b, m_ineq, x) -> float:
+    """The largest amount by which x leaves a bound, exceeds an inequality row
+    (the first m_ineq rows of a) or misses an equality row; 0 inside the set."""
+    worst = max(float(np.max(lower - x, initial=0.0)),
+                float(np.max(x - upper, initial=0.0)))
+    if a.shape[0]:
+        resid = a @ x - b
+        worst = max(worst, float(np.max(resid[:m_ineq], initial=0.0)))
+        if a.shape[0] > m_ineq:
+            worst = max(worst, float(np.max(np.abs(resid[m_ineq:]))))
     return worst
+
+
+def _geometry(cs: ConstraintSet) -> _Geometry:
+    """The prepared geometry of `cs`, built on first use and kept on the set
+    (a ConstraintSet is frozen, so it cannot go stale)."""
+    geom = cs.__dict__.get("_geometry")
+    if geom is None:
+        geom = cs.__dict__["_geometry"] = _Geometry(cs)
+    return geom
+
+
+def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
+    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections.
+
+    A row whose last step left the point unchanged has a zero correction; it
+    is held as None, so the next sweep skips adding it. That gives the same
+    bits as adding it: x + 0.0 differs from x only where x is -0.0, and x
+    holds no -0.0 unless a bound is -0.0.
+    """
+    x = v.copy()
+    p_bounds = np.zeros_like(v)
+    p_rows = [None] * geom.m
+    sweeps = 0
+    change = np.inf
+    for sweep in range(max_sweeps):
+        x_prev = x
+        w = x + p_bounds
+        x = w.clip(geom.lower, geom.upper)
+        p_bounds = w - x
+        for i, (a_i, b_i, eq) in enumerate(geom.rows):
+            p_i = p_rows[i]
+            w = x if p_i is None else x + p_i
+            resid = a_i @ w - b_i
+            if eq or resid > 0.0:
+                x = w - resid * a_i
+                p_rows[i] = w - x
+            else:
+                x = w
+                p_rows[i] = None
+        sweeps = sweep + 1
+        change = float(np.abs(x - x_prev).max())
+        if change <= tol and geom.violation(x) <= tol:
+            break
+    return x, sweeps, geom.violation(x), change
 
 
 def _certify(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq, aux_abs,
              provenance, candidates=()) -> ConstraintSet:
+    """The set with a certified feasible point: the first candidate that is
+    a member, else the Dykstra projection of the bound midpoint. The prepared
+    geometry goes with the returned set."""
     made = ConstraintSet(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq,
                          aux_abs, provenance, np.empty(0))
+    geom = _Geometry(made)
     for cand in candidates:
-        x = made.extend(np.asarray(cand, dtype=float))
-        if _violation(lower, upper, a_ineq, b_ineq, a_eq, b_eq, x) <= 1e-9:
-            return ConstraintSet(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq,
-                                 b_eq, aux_abs, provenance, x[:n].copy())
-    mid_lo = np.where(np.isfinite(lower), lower, -1.0)
-    mid_hi = np.where(np.isfinite(upper), upper, 1.0)
-    start = 0.5 * (mid_lo + mid_hi)
-    point = _pocs_feasible(lower, upper, a_ineq, b_ineq, a_eq, b_eq, start)
-    if point is None:
-        raise InfeasibleConstraintsError(f"infeasible constraint set ({provenance})")
-    return ConstraintSet(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq,
-                         aux_abs, provenance, point[:n].copy())
+        point = np.asarray(cand, dtype=float)
+        if geom.member_violation(made.extend(point)) <= 1e-9:
+            break
+    else:
+        mid_lo = np.where(np.isfinite(geom.lower), geom.lower, -1.0)
+        mid_hi = np.where(np.isfinite(geom.upper), geom.upper, 1.0)
+        point = _dykstra(geom, 0.5 * (mid_lo + mid_hi), 1e-10, 5000)[0][:n]
+        if geom.member_violation(made.extend(point)) > 1e-9:
+            raise InfeasibleConstraintsError(f"infeasible constraint set ({provenance})")
+    certified = replace(made, feasible_point=point.copy())
+    certified.__dict__["_geometry"] = geom
+    return certified
 
 
 def build_box(lower: float, upper: float, n: int) -> ConstraintSet:
@@ -249,8 +357,7 @@ def is_member(cs: ConstraintSet, z: np.ndarray, tol: float = DEFAULT_MEMBER_TOL)
     z = np.asarray(z, dtype=float)
     if z.shape != (cs.n,):
         raise ValueError(f"expected a vector of length {cs.n}, got shape {z.shape}")
-    x = cs.extend(z)
-    return _violation(cs.lower, cs.upper, cs.a_ineq, cs.b_ineq, cs.a_eq, cs.b_eq, x) <= tol
+    return _geometry(cs).member_violation(cs.extend(z)) <= tol
 
 
 def didi_epsilon(y: np.ndarray, protected, fraction: float = 0.2) -> float:

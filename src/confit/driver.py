@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Iterator, Union, get_type_hints
 
 import numpy as np
 
-from .constraints import ConstraintSet, didi_value, is_member
+from .constraints import DEFAULT_MEMBER_TOL, ConstraintSet, didi_value, is_member
 from .data import Dataset
-from .errors import ConfitError, DataError
+from .errors import DataError
 from .learners import LearnerSpec, fit, predict
 from .losses import LossSpec, loss_norm
 from .metrics import r_squared
@@ -49,10 +49,8 @@ class RunConfig:
     loss: LossSpec = LossSpec("mse")
     learner: LearnerSpec = LearnerSpec("ridge")
     algorithm: str = "affine_extension"
-    membership_tol: float = 1e-6
     early_stop: bool = False
     stop_tol: float = 1e-8
-    fail_hard: bool = False
     solver: SolverOptions = DEFAULT_OPTIONS
     seed: int = 0
 
@@ -371,7 +369,7 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
     prev_residual = None
     for i in range(1, config.iterations):
         fallback = False
-        if not is_member(cs, yhat, config.membership_tol):
+        if not is_member(cs, yhat, DEFAULT_MEMBER_TOL):
             branch = "infeasible"
             report = master(cs, yhat, warm_master)
             warm_master = report.state
@@ -384,7 +382,7 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
                     loss, train.y, yhat, config.beta, cs, config.solver, warm_ball)
                 warm_ball = report.state
                 if not report.converged or not is_member(cs, report.solution,
-                                                         10 * config.membership_tol):
+                                                         10 * DEFAULT_MEMBER_TOL):
                     # numerically empty ball/set intersection: the center is the
                     # one point known feasible
                     report = SolverReport(yhat.copy(), report.primal_residual,
@@ -392,8 +390,6 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
                                           False, report.method)
                     fallback = True
         if not report.converged and not fallback:
-            if config.fail_hard:
-                raise ConfitError(f"adjustment solve failed to converge at iteration {i}")
             log.warning("iteration %d: the %s solve stopped unconverged after %d iterations "
                         "(primal residual %.3g, dual residual %.3g); the refit uses its "
                         "last iterate", i, report.method, report.iterations,

@@ -21,7 +21,9 @@ Three routes, picked automatically:
   into tau = eta/omega and sigma = eta*omega.
 
 The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
-the operator norm) is built once per ConstraintSet and kept on it.
+the operator norm) and the Dykstra sweep live in `confit.constraints`, which
+certifies constraint sets with them; the geometry is built once per
+ConstraintSet and kept on it.
 
 Warm starts carry the primal/dual iterates and the primal weight between
 consecutive solves (sound for the primal-dual route; Dykstra corrections are
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import ConstraintSet, _dykstra, _geometry, _Geometry
 from .losses import LossSpec, loss_value, project_ball, prox_pair, prox_unit
 
 
@@ -78,121 +80,6 @@ class SolverReport:
     converged: bool
     method: str
     state: dict | None = None
-
-
-class _Geometry:
-    """Constraint data prepared for the solvers: bounds plus one matrix of
-    unit-normalized rows (the inequality rows first, then the equalities),
-    with auxiliary columns rescaled to match the magnitude of their companion
-    z coefficients."""
-
-    def __init__(self, cs: ConstraintSet):
-        self.n = cs.n
-        self.n_aux = cs.n_aux
-        self.width = cs.width
-        rows = [cs.a_ineq, cs.a_eq]
-        a = np.vstack([r for r in rows if r.shape[0]]) if any(r.shape[0] for r in rows) \
-            else np.zeros((0, cs.width))
-        b = np.concatenate([cs.b_ineq, cs.b_eq])
-        self.m_ineq = cs.a_ineq.shape[0]
-        self.aux_scale = np.ones(cs.n_aux)
-        lower = cs.lower.astype(float).copy()
-        upper = cs.upper.astype(float).copy()
-        if cs.n_aux and a.shape[0]:
-            a = a.copy()
-            for j in range(cs.n_aux):
-                col = a[:, cs.n + j]
-                hit = np.flatnonzero(col)
-                if hit.size == 0:
-                    continue
-                znorm = np.linalg.norm(a[hit, :cs.n], axis=1)
-                good = znorm > 1e-14
-                if good.any():
-                    self.aux_scale[j] = float(np.exp(np.mean(
-                        np.log(znorm[good] / np.abs(col[hit][good])))))
-            a[:, cs.n:] *= self.aux_scale[None, :]
-            with np.errstate(invalid="ignore"):
-                lower[cs.n:] = lower[cs.n:] / self.aux_scale
-                upper[cs.n:] = upper[cs.n:] / self.aux_scale
-            norms = np.linalg.norm(a, axis=1)
-            a = a / norms[:, None]
-            b = b / norms
-        self.a = a
-        self.b = b
-        self.lower = lower
-        self.upper = upper
-        self.m = a.shape[0]
-        # floor of the row multipliers: 0 on inequalities, none on equalities
-        self.y_floor = np.where(np.arange(self.m) < self.m_ineq, 0.0, -np.inf)
-        # (row, rhs, is equality) for the Dykstra sweep
-        self.rows = [(a[i], b[i], i >= self.m_ineq) for i in range(self.m)]
-        self.op_norm = self._power_norm()
-
-    def _power_norm(self) -> float:
-        if self.m == 0:
-            return 0.0
-        v = np.full(self.width, 1.0 / np.sqrt(self.width))
-        nv = 1.0
-        for _ in range(40):
-            v = self.a.T @ (self.a @ v)
-            nv = float(np.linalg.norm(v))
-            if nv == 0:
-                return 0.0
-            v /= nv
-        return float(np.sqrt(nv))
-
-    def violation(self, x: np.ndarray) -> float:
-        worst = max(float(np.max(self.lower - x, initial=0.0)),
-                    float(np.max(x - self.upper, initial=0.0)))
-        if self.m:
-            resid = self.a @ x - self.b
-            worst = max(worst, float(np.max(resid[:self.m_ineq], initial=0.0)),
-                        float(np.max(np.abs(resid[self.m_ineq:]), initial=0.0)))
-        return worst
-
-
-def _geometry(cs: ConstraintSet) -> _Geometry:
-    """The prepared geometry of `cs`, built on first use and kept on the set
-    (a ConstraintSet is frozen, so it cannot go stale)."""
-    geom = cs.__dict__.get("_geometry")
-    if geom is None:
-        geom = cs.__dict__["_geometry"] = _Geometry(cs)
-    return geom
-
-
-def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
-    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections.
-
-    A row whose last step left the point unchanged has a zero correction; it
-    is held as None, so the next sweep skips adding it. That gives the same
-    bits as adding it: x + 0.0 differs from x only where x is -0.0, and x
-    holds no -0.0 unless a bound is -0.0.
-    """
-    x = v.copy()
-    p_bounds = np.zeros_like(v)
-    p_rows = [None] * geom.m
-    sweeps = 0
-    change = np.inf
-    for sweep in range(max_sweeps):
-        x_prev = x
-        w = x + p_bounds
-        x = w.clip(geom.lower, geom.upper)
-        p_bounds = w - x
-        for i, (a_i, b_i, eq) in enumerate(geom.rows):
-            p_i = p_rows[i]
-            w = x if p_i is None else x + p_i
-            resid = a_i @ w - b_i
-            if eq or resid > 0.0:
-                x = w - resid * a_i
-                p_rows[i] = w - x
-            else:
-                x = w
-                p_rows[i] = None
-        sweeps = sweep + 1
-        change = float(np.abs(x - x_prev).max())
-        if change <= tol and geom.violation(x) <= tol:
-            break
-    return x, sweeps, geom.violation(x), change
 
 
 # PDLP's restart rules and primal-weight smoothing (Applegate et al. 2021)
@@ -483,9 +370,11 @@ def project_blend(loss: LossSpec, target, prediction, weight: float,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg-blend", state)
 
 
+PROBE_SPAN = (-0.5, 1.5)  # lipschitz_probe draws its sample points from this range
+
+
 def lipschitz_probe(loss: LossSpec, constraints: ConstraintSet, samples: int,
-                    seed: int, opts: SolverOptions = DEFAULT_OPTIONS,
-                    span: tuple[float, float] = (-0.5, 1.5)) -> float:
+                    seed: int, opts: SolverOptions = DEFAULT_OPTIONS) -> float:
     """Sampled lower bound on the Lipschitz constant of the projection onto the
     set, in the loss-matched norm (L2 for mse, L1 for mae/huber)."""
     if samples < 1:
@@ -494,8 +383,8 @@ def lipschitz_probe(loss: LossSpec, constraints: ConstraintSet, samples: int,
     n = constraints.n
     worst = 0.0
     for _ in range(samples):
-        x1 = rng.uniform(span[0], span[1], n)
-        x2 = rng.uniform(span[0], span[1], n)
+        x1 = rng.uniform(PROBE_SPAN[0], PROBE_SPAN[1], n)
+        x2 = rng.uniform(PROBE_SPAN[0], PROBE_SPAN[1], n)
         gap = _norm(loss, x1 - x2)
         if gap < 1e-12:
             continue  # degenerate pair: the ratio is undefined

@@ -79,6 +79,21 @@ def didi_brute(z, groupings):
     return total
 
 
+def violation_reference(lower, upper, a_ineq, b_ineq, a_eq, b_eq, x):
+    """The membership measure as first written, with the inequality and the
+    equality rows kept apart: the worst bound, inequality or equality
+    violation of x (0 inside the set)."""
+    worst = max(
+        float(np.max(lower - x, initial=0.0)),
+        float(np.max(x - upper, initial=0.0)),
+    )
+    if a_ineq.shape[0]:
+        worst = max(worst, float(np.max(a_ineq @ x - b_ineq)))
+    if a_eq.shape[0]:
+        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+    return worst
+
+
 def grid_search_2d(objective, feasible, lo=0.0, hi=1.0, step=1e-3, slack=None):
     """Exhaustive 2-D search: returns (best_value, array of near-optimal grid points).
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+import confit.constraints as constraints
 from confit.constraints import (build_box, build_didi_constraints,
                                 didi_epsilon, didi_value, from_inequalities,
                                 intersect, is_member)
 from confit.data import ProtectedSpec
 from confit.errors import InfeasibleConstraintsError
-from oracles import didi_brute
+from oracles import didi_brute, violation_reference
 
 
 def spec_of(groups, feature_index=0):
@@ -187,6 +188,88 @@ def test_feasible_point_certificate():
         b = a @ np.full(4, 0.5) + rng.uniform(0.05, 0.3, 6)
         cs = from_inequalities(a, b, 4, lower=np.zeros(4), upper=np.ones(4))
         assert is_member(cs, cs.feasible_point, tol=1e-8)
+    # the bound midpoint, where the Dykstra fallback starts, is outside
+    # these sets: each holds a point near a corner, with or without
+    # equality rows through it
+    for trial in range(10):
+        inside = rng.uniform(0.05, 0.25, 4)
+        a = rng.standard_normal((6, 4))
+        a[0] = 1.0  # sum(z) <= sum(inside) + margin < 2
+        b = a @ inside + rng.uniform(0.0, 0.05, 6)
+        a_eq = rng.standard_normal((trial % 3, 4))
+        cs = from_inequalities(a, b, 4, a_eq=a_eq, b_eq=a_eq @ inside,
+                               lower=np.zeros(4), upper=np.ones(4))
+        assert not is_member(cs, np.full(4, 0.5), tol=1e-8)
+        assert is_member(cs, cs.feasible_point, tol=1e-8)
+    # a candidate that is a member is kept, though the midpoint is one too
+    protected = (spec_of({0: [0, 2, 4], 1: [1, 3, 5]}),)
+    didi = build_didi_constraints(protected, 0.05, 6)
+    half = from_inequalities(np.eye(6)[:1], np.array([0.9]), 6)
+    assert np.array_equal(intersect(didi, half).feasible_point, np.full(6, 0.5))
+    # DIDI with auxiliaries intersected with rows that none of the three
+    # candidates (either part's point or their average) satisfies
+    rows = from_inequalities(np.array([[-1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]]),
+                             np.array([-0.8, 0.2]), 6, lower=np.zeros(6), upper=np.ones(6))
+    cs = intersect(didi, rows)
+    for cand in (didi.feasible_point, rows.feasible_point,
+                 0.5 * (didi.feasible_point + rows.feasible_point)):
+        assert not is_member(cs, cand, tol=1e-8)
+    assert is_member(cs, cs.feasible_point, tol=1e-8)
+
+
+def _infeasible_didi_and_row():
+    # eps = 0 forces equal group means; the row forces z0 - z1 >= 0.1
+    didi = build_didi_constraints((spec_of({0: [0], 1: [1]}),), 0.0, 2)
+    return intersect(didi, from_inequalities(np.array([[-1.0, 1.0]]), np.array([-0.1]), 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: from_inequalities(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]), 2),
+    lambda: from_inequalities(np.array([[-1.0, -1.0]]), np.array([-3.0]), 2,
+                              lower=np.zeros(2), upper=np.ones(2)),
+    lambda: from_inequalities(np.zeros((0, 2)), np.zeros(0), 2,
+                              a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]), b_eq=np.array([0.0, 1.0])),
+    _infeasible_didi_and_row,
+], ids=["contradictory-rows", "rows-exclude-box", "contradictory-equalities", "didi-eps0-row"])
+def test_row_level_infeasibility_raises(build):
+    with pytest.raises(InfeasibleConstraintsError):
+        build()
+
+
+def _generated_sets(rng):
+    """Box, DIDI, custom (with and without equality rows and bounds) and
+    intersected sets over one random n."""
+    n = int(rng.integers(3, 12))
+    inside = np.full(n, rng.uniform(0.2, 0.8))  # constant, so inside every DIDI set
+    protected = random_protected(rng, n, n_features=int(rng.integers(1, 3)))
+    box = build_box(0.0, 1.0, n)
+    didi = build_didi_constraints(protected, float(rng.uniform(0.0, 0.5)), n)
+    a = rng.standard_normal((int(rng.integers(1, 6)), n))
+    ineq = from_inequalities(a, a @ inside + rng.uniform(0.0, 0.3, a.shape[0]), n)
+    a_eq = rng.standard_normal((int(rng.integers(1, 3)), n))
+    eq = from_inequalities(a, a @ inside + 0.1, n, a_eq=a_eq, b_eq=a_eq @ inside,
+                           lower=np.zeros(n), upper=np.ones(n))
+    return n, [box, didi, ineq, eq, intersect(didi, box), intersect(ineq, box),
+               intersect(didi, eq), intersect(intersect(didi, box), ineq)]
+
+
+def test_member_violation_matches_reference():
+    # equality rows go through one stacked matvec with the inequality rows,
+    # which may sum in another order than a separate one: 1e-14 relative
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n, sets = _generated_sets(rng)
+        for cs in sets:
+            geom = constraints._geometry(cs)
+            for _ in range(20):
+                x = cs.extend(rng.uniform(-0.5, 1.5, n))
+                got = geom.member_violation(x)
+                want = violation_reference(cs.lower, cs.upper, cs.a_ineq, cs.b_ineq,
+                                           cs.a_eq, cs.b_eq, x)
+                if cs.a_eq.shape[0]:
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+                else:
+                    assert got == want
 
 
 def test_extend_sets_aux_to_absolute_deviations():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import confit.constraints as constraints
 import confit.solver as solver
 from confit.constraints import (build_box, build_didi_constraints,
                                 from_inequalities, intersect, is_member)
@@ -488,21 +489,27 @@ def test_pdhg_routes_return_members_and_are_idempotent(seed, n, m, route, beta, 
 
 
 def test_geometry_built_once_per_constraint_set(monkeypatch):
+    # certified sets get their geometry from the certificate; a box is not
+    # certified, so its geometry is built on the first solve
     built = []
-    original = solver._Geometry
+    original = constraints._Geometry
 
     def counting(cs):
-        built.append(cs)
-        return original(cs)
+        built.append(original(cs))
+        return built[-1]
 
-    monkeypatch.setattr(solver, "_Geometry", counting)
+    monkeypatch.setattr(constraints, "_Geometry", counting)
     rng = np.random.default_rng(10)
     cs = random_polytope(rng, 6, 8)
     for spec in ALL:
         lipschitz_probe(spec, cs, samples=3, seed=1)
         project_blend(spec, rng.uniform(0, 1, 6), rng.uniform(0, 1, 6), 1.0, cs)
         project_ball_intersection(spec, rng.uniform(0, 1, 6), cs.feasible_point, 0.01, cs)
-    assert built == [cs]
+    assert built == [constraints._geometry(cs)]
     other = random_polytope(rng, 6, 8)
     project(ProjectionProblem(MAE, rng.uniform(-1, 2, 6), other))
-    assert len(built) == 2 and built[1] is other
+    assert len(built) == 2 and built[1] is constraints._geometry(other)
+    box = build_box(0.0, 1.0, 6)
+    project(ProjectionProblem(MAE, rng.uniform(-1, 2, 6), box))
+    project(ProjectionProblem(MSE, rng.uniform(-1, 2, 6), box))
+    assert len(built) == 3 and built[2] is constraints._geometry(box)
