@@ -98,10 +98,7 @@ class _Geometry:
         self.n = cs.n
         self.n_aux = cs.n_aux
         self.width = cs.width
-        rows = [cs.a_ineq, cs.a_eq]
-        a = np.vstack([r for r in rows if r.shape[0]]) if any(r.shape[0] for r in rows) \
-            else np.zeros((0, cs.width))
-        b = np.concatenate([cs.b_ineq, cs.b_eq])
+        a, b = _stacked_rows(cs)
         self.m_ineq = cs.a_ineq.shape[0]
         self.unit_a, self.unit_b = a, b
         self.set_lower, self.set_upper = cs.lower, cs.upper
@@ -161,6 +158,15 @@ class _Geometry:
         on the set's own unit rows and bounds."""
         return _worst_violation(self.set_lower, self.set_upper, self.unit_a, self.unit_b,
                                 self.m_ineq, x)
+
+
+def _stacked_rows(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
+    """The set's unit rows in one matrix, inequalities first, and their
+    right-hand sides."""
+    rows = [cs.a_ineq, cs.a_eq]
+    a = np.vstack([r for r in rows if r.shape[0]]) if any(r.shape[0] for r in rows) \
+        else np.zeros((0, cs.width))
+    return a, np.concatenate([cs.b_ineq, cs.b_eq])
 
 
 def _worst_violation(lower, upper, a, b, m_ineq, x) -> float:
@@ -223,21 +229,23 @@ def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
 def _certify(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq, aux_abs,
              provenance, candidates=()) -> ConstraintSet:
     """The set with a certified feasible point: the first candidate that is
-    a member, else the Dykstra projection of the bound midpoint. The prepared
-    geometry goes with the returned set."""
+    a member, checked on the stacked unit rows and bounds alone, else the
+    Dykstra projection of the bound midpoint. Only that projection needs the
+    prepared geometry, which then goes with the returned set; a set certified
+    by a candidate builds its geometry on first use."""
     made = ConstraintSet(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq,
                          aux_abs, provenance, np.empty(0))
-    geom = _Geometry(made)
+    a, b = _stacked_rows(made)
     for cand in candidates:
         point = np.asarray(cand, dtype=float)
-        if geom.member_violation(made.extend(point)) <= 1e-9:
-            break
-    else:
-        mid_lo = np.where(np.isfinite(geom.lower), geom.lower, -1.0)
-        mid_hi = np.where(np.isfinite(geom.upper), geom.upper, 1.0)
-        point = _dykstra(geom, 0.5 * (mid_lo + mid_hi), 1e-10, 5000)[0][:n]
-        if geom.member_violation(made.extend(point)) > 1e-9:
-            raise InfeasibleConstraintsError(f"infeasible constraint set ({provenance})")
+        if _worst_violation(lower, upper, a, b, a_ineq.shape[0], made.extend(point)) <= 1e-9:
+            return replace(made, feasible_point=point.copy())
+    geom = _Geometry(made)
+    mid_lo = np.where(np.isfinite(geom.lower), geom.lower, -1.0)
+    mid_hi = np.where(np.isfinite(geom.upper), geom.upper, 1.0)
+    point = _dykstra(geom, 0.5 * (mid_lo + mid_hi), 1e-10, 5000)[0][:n]
+    if geom.member_violation(made.extend(point)) > 1e-9:
+        raise InfeasibleConstraintsError(f"infeasible constraint set ({provenance})")
     certified = replace(made, feasible_point=point.copy())
     certified.__dict__["_geometry"] = geom
     return certified

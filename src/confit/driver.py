@@ -350,7 +350,8 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
 
     # each prediction is held once: a step's `yhat` is the previous step's
     # `yhat_next` (the initial `yhat` for step 1); nothing writes into them
-    model = fit(config.learner, train.x, train.y, loss)
+    reuse = {}  # what the refits of train.x share, such as the ridge factor
+    model = fit(config.learner, train.x, train.y, loss, reuse)
     yhat = model.train_prediction
     yhat_test = predict(model, test.x)
     c_train, c_test = gauges.ratios(yhat, yhat_test)
@@ -396,7 +397,7 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
                         report.primal_residual, report.dual_residual)
 
         z = report.solution
-        model = fit(config.learner, train.x, z, loss)
+        model = fit(config.learner, train.x, z, loss, reuse)
         yhat_next = model.train_prediction
         yhat_test = predict(model, test.x)
         residual = loss_norm(loss, yhat_next - yhat)

@@ -72,14 +72,25 @@ class FittedModel:
     train_prediction: np.ndarray | None = None
 
 
-def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec) -> FittedModel:
+def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
+        reuse: dict | None = None) -> FittedModel:
+    """Fit the learner to `target` on the training matrix `x`.
+
+    `reuse` is a dict that a caller refitting one training matrix keeps for
+    it (the matrix must not change meanwhile): a fit stores there what later
+    fits of the same matrix reuse, for ridge [1, x] and the Cholesky factor
+    of its penalized Gram matrix. Fits give the same bits with or without it.
+    """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     if x.ndim != 2 or target.ndim != 1 or x.shape[0] != target.shape[0]:
         raise ValueError(f"incompatible shapes: x {x.shape}, target {target.shape}")
     if not np.isfinite(x).all():
         raise ValueError("feature matrix contains non-finite entries")
-    model = (_fit_ridge if spec.kind == "ridge" else _fit_gbt)(spec, x, target, loss)
+    if spec.kind == "ridge":
+        model = _fit_ridge(spec, x, target, loss, {} if reuse is None else reuse)
+    else:
+        model = _fit_gbt(spec, x, target, loss)
     model.training_loss = loss_value(loss, model.train_prediction, target)
     return model
 
@@ -102,21 +113,26 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fit_ridge(spec: LearnerSpec, x, target, loss) -> FittedModel:
+def _fit_ridge(spec: LearnerSpec, x, target, loss, reuse: dict) -> FittedModel:
     """Exact minimizer of the squared loss plus lambda * ||weights||^2 with an
     unpenalized intercept (documented approximation when the run loss is
-    mae/huber)."""
-    g = np.column_stack([np.ones(x.shape[0]), x])
-    gram = g.T @ g
-    penalty = np.eye(g.shape[1])
-    penalty[0, 0] = 0.0
-    m = gram + spec.ridge_lambda * penalty
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "singular normal equations; set ridge_lambda > 0 or drop collinear features"
-        ) from None
+    mae/huber). [1, x] and the Cholesky factor of its penalized Gram matrix
+    are taken from `reuse`, or built and kept there."""
+    key = ("ridge", spec.ridge_lambda)
+    if key not in reuse:
+        g = np.column_stack([np.ones(x.shape[0]), x])
+        gram = g.T @ g
+        penalty = np.eye(g.shape[1])
+        penalty[0, 0] = 0.0
+        m = gram + spec.ridge_lambda * penalty
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "singular normal equations; set ridge_lambda > 0 or drop collinear features"
+            ) from None
+        reuse[key] = g, chol
+    g, chol = reuse[key]
     rhs = g.T @ target
     theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     return FittedModel(spec=spec, loss=loss, d=x.shape[1], theta=theta,

@@ -28,7 +28,10 @@ ConstraintSet and kept on it.
 Warm starts carry the primal/dual iterates and the primal weight between
 consecutive solves (sound for the primal-dual route; Dykstra corrections are
 never reused because they are tied to the projected point) and the ball
-multiplier between consecutive ball solves.
+multiplier between consecutive ball solves. A primal-dual solve that resumes
+a warm state checks the residual of its first step, and ends there when the
+state already solves the new problem, as it does once the fit-adjust loop
+has settled.
 """
 
 from __future__ import annotations
@@ -104,6 +107,12 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     the previous candidate's, or when the restart is RESTART_ARTIFICIAL of
     all iterations old. A restart moves log(omega) part of the way to the
     log-ratio of the dual to the primal movement since the last restart.
+
+    A solve that resumes a warm `state` also computes the residual of its
+    first step, and returns that step when both parts are within `tol`. The
+    check touches no restart bookkeeping, so a solve that goes on runs
+    exactly as it would without it. Cold starts skip it: they never start at
+    their answer.
     """
     n, width, m = geom.n, geom.width, geom.m
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
@@ -111,8 +120,9 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
     eta = STEP_FRACTION / np.sqrt(max(norm2, 1e-12))
     omega = 1.0
-    if state is not None and state.get("kind") == "pdhg" and state["x"].size == width \
-            and state["y"].size == m and (ball is None) == (state["yb"] is None):
+    resumed = state is not None and state.get("kind") == "pdhg" and state["x"].size == width \
+        and state["y"].size == m and (ball is None) == (state["yb"] is None)
+    if resumed:
         x, y, yb, omega = state["x"], state["y"], state["yb"], state["omega"]
     else:
         x = np.zeros(width)
@@ -177,11 +187,14 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         y_sum += y
         if ball is not None:
             yb_sum += yb
-        if it % 10 and it != max_iter:
+        checked = it % 10 == 0 or it == max_iter
+        if not (checked or it == 1 and resumed):
             continue
         pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
         if pri <= tol and dua <= tol:
             break
+        if not checked:
+            continue  # a resumed solve's first step is checked for the exit only
         xa, ya = x_sum / since, y_sum / since
         yba = yb_sum / since if ball is not None else None
         avg = step(xa, ya, yba)

@@ -321,9 +321,10 @@ def pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state=None, ball=Non
     tau = 1.0 / nk
     sig = 1.0 / nk
     x = None
-    if state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
-            and state["x"].size == width and state["y"].size == m \
-            and (ball is None) == (state.get("yb") is None):
+    resumed = state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
+        and state["x"].size == width and state["y"].size == m \
+        and (ball is None) == (state.get("yb") is None)
+    if resumed:
         x = state["x"].copy()
         y = state["y"].copy()
         yb = state["yb"].copy() if state.get("yb") is not None else None
@@ -398,7 +399,8 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     decay (0.8) with no progress, or when the restart is 0.36 of all
     iterations old; each restart moves log(omega) half way to log(dual /
     primal movement). Steps are tau = eta/omega, sigma = eta*omega with
-    eta = 0.95/||K||.
+    eta = 0.95/||K||. A solve that resumes a state also checks the residual
+    of its first step, and stops there when it is within tol.
 
     Arguments are those of `pdhg_unrestarted_reference`; the state carries
     omega in place of tau and sigma.
@@ -409,9 +411,10 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     eta = 0.95 / np.sqrt(max(norm2, 1e-12))
     omega = 1.0
     x = None
-    if state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
-            and state["x"].size == width and state["y"].size == m \
-            and (ball is None) == (state.get("yb") is None):
+    resumed = state is not None and state.get("kind") == "pdhg" and state.get("x") is not None \
+        and state["x"].size == width and state["y"].size == m \
+        and (ball is None) == (state.get("yb") is None)
+    if resumed:
         x = state["x"].copy()
         y = state["y"].copy()
         yb = state["yb"].copy() if state.get("yb") is not None else None
@@ -470,6 +473,10 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
         since += 1
         for k in range(3 if ball is not None else 2):
             sums[k] += z[k]
+        if it == 1 and resumed:
+            pri, dua = residual(z_old, z, tau, sig)
+            if pri <= tol and dua <= tol:
+                break
         if it % 10 and it != max_iter:
             continue
         pri, dua = residual(z_old, z, tau, sig)

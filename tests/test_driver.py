@@ -263,3 +263,30 @@ def test_default_solver_converges_on_every_mae_blend_solve(caplog):
     assert len(blend) == 28
     assert all(r.solver_converged for r in blend)
     assert not caplog.records
+
+
+def test_settled_feasible_steps_end_after_one_pdhg_step():
+    # the protected group is a feature, so a ridge refit keeps the group means
+    # of its target and the loop stays on the feasible branch; once settled,
+    # each ball solve resumes at its answer and stops after its first step
+    rng = np.random.default_rng(0)
+    n = 40
+    x = rng.uniform(0, 1, (n, 3))
+    x[:, 0] = (x[:, 0] > 0.5).astype(float)
+    y = np.clip(x @ np.array([0.5, 0.2, -0.1]) + 0.1 + 0.05 * rng.standard_normal(n), 0, 1)
+    protected = (ProtectedSpec(0, {0: np.flatnonzero(x[:, 0] == 0),
+                                   1: np.flatnonzero(x[:, 0] == 1)}),)
+    ds = Dataset(x, y, ["g", "b", "c"], [(0.0, 1.0)] * 3, "t", (0.0, 1.0), protected)
+    cs = intersect(build_didi_constraints(protected, didi_epsilon(y, protected), n),
+                   build_box(0.0, 1.0, n))
+    config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=30, loss=MSE,
+                       learner=RIDGE0)
+    history = run_affine_extension(config, ds, ds)
+    assert len(history.records) == 29
+    feasible = [r for r in history.records if r.branch == "feasible"]
+    assert len(feasible) >= 25
+    first, settled = feasible[0], feasible[1:]
+    assert first.solver_method == "pdhg-ball" and first.solver_iterations > 10
+    assert all(r.solver_method == "pdhg-ball" and r.solver_converged and not r.fallback
+               and r.solver_iterations == 1 for r in settled)
+    assert all(is_member(cs, r.z, 1e-6) for r in history.records)

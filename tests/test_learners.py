@@ -44,6 +44,28 @@ def test_ridge_singular_without_lambda_raises():
     fit(LearnerSpec("ridge", ridge_lambda=1e-3), x, y, MSE)  # regularized succeeds
 
 
+def test_ridge_refits_of_one_matrix_reuse_its_factor(monkeypatch):
+    # refits that share a `reuse` dict factor their matrix once, and give
+    # the bits of fits that factor it afresh
+    rng = np.random.default_rng(5)
+    x, y, _ = linear_data(rng, noise=0.1)
+    spec = LearnerSpec("ridge", ridge_lambda=0.3)
+    targets = [y + 0.01 * k * rng.standard_normal(y.size) for k in range(6)]
+    fresh = [fit(spec, x, target, MSE) for target in targets]
+    factored = []
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda m, _orig=np.linalg.cholesky: factored.append(m) or _orig(m))
+    reuse = {}
+    for target, want in zip(targets, fresh):
+        got = fit(spec, x, target, MSE, reuse)
+        assert np.array_equal(got.theta, want.theta)
+        assert np.array_equal(got.train_prediction, want.train_prediction)
+        assert got.training_loss == want.training_loss
+    assert len(factored) == 1
+    fit(RIDGE0, x, y, MSE, reuse)  # another lambda gets its own factor
+    assert len(factored) == 2
+
+
 def test_ridge_prediction_is_hat_matrix_projection():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, (12, 3))
