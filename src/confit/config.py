@@ -1,16 +1,20 @@
-"""Experiment configuration: a YAML file with dataset, constraint, run,
-solver, and output blocks, validated with field-level messages."""
+"""Experiment configuration: a YAML file with dataset, constraint, run, solver
+and output blocks. Each block is a dataclass that states its defaults and
+checks its ranges; `load_config` reads the blocks by their fields and types."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import functools
+import types
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .driver import ALGORITHMS
 from .errors import ConfigError
-from .learners import LEARNER_KINDS, LearnerSpec
-from .losses import LOSS_KINDS, LossSpec
+from .learners import LearnerSpec
+from .losses import LossSpec
 from .solver import SolverOptions
 
 NORMALIZATION_MODES = ("train", "full")
@@ -31,11 +35,19 @@ class ConstraintBlock:
     epsilon: float | None = None
     box: tuple[float, float] | None = (0.0, 1.0)
 
+    def __post_init__(self):
+        if self.fraction is not None and not 0 < self.fraction <= 1:
+            raise ValueError(f"fraction: expected a number in (0, 1], got {self.fraction!r}")
+        if self.epsilon is not None and not self.epsilon >= 0:
+            raise ValueError(f"epsilon: expected a nonnegative number, got {self.epsilon!r}")
+        if self.box is not None and not self.box[0] <= self.box[1]:
+            raise ValueError(f"box: lower exceeds upper in {self.box}")
+
 
 @dataclass(frozen=True)
 class RunBlock:
-    loss: LossSpec
     alphas: tuple[float, ...]
+    loss: LossSpec = LossSpec("mse")
     beta: float = 0.1
     iterations: int = 30
     learner: LearnerSpec = LearnerSpec("gbt")
@@ -43,6 +55,23 @@ class RunBlock:
     folds: int = 5
     seed: int = 0
     normalization: str = "train"
+
+    def __post_init__(self):
+        if not self.alphas:
+            raise ValueError("alphas: expected a nonempty list of numbers")
+        for i, a in enumerate(self.alphas):
+            if not 0 <= a < 1:
+                raise ValueError(f"alphas[{i}]: expected a number in [0, 1), got {a!r}")
+        if not self.beta >= 0:
+            raise ValueError(f"beta: must be nonnegative, got {self.beta}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations: must be at least 1, got {self.iterations}")
+        if not self.algorithms or not set(self.algorithms) <= set(ALGORITHMS):
+            raise ValueError(f"algorithms: expected a nonempty list from {ALGORITHMS}, "
+                             f"got {list(self.algorithms)}")
+        if self.normalization not in NORMALIZATION_MODES:
+            raise ValueError(f"normalization: expected one of {NORMALIZATION_MODES}, "
+                             f"got {self.normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -55,43 +84,6 @@ class ExperimentConfig:
     source_path: str | None = None
 
 
-def _expect_mapping(node, where: str) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(node).__name__}")
-    return node
-
-
-_REQUIRED = object()
-
-
-def _take(node: dict, where: str, key: str, kind, default=_REQUIRED):
-    if key not in node:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}.{key}: required field is missing")
-        return default
-    value = node.pop(key)
-    bad_bool = isinstance(value, bool) and kind is not bool
-    if not isinstance(value, kind) or bad_bool:
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{where}.{key}: expected {names}, got {value!r}")
-    return value
-
-
-def _reject_unknown(node: dict, where: str):
-    if node:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(node)}")
-
-
-def _str_tuple(node, where) -> tuple[str, ...]:
-    if node is None:
-        return ()
-    if not isinstance(node, list) or not all(isinstance(v, str) for v in node):
-        raise ConfigError(f"{where}: expected a list of strings")
-    return tuple(node)
-
-
 def load_config(path) -> ExperimentConfig:
     import yaml  # here, not at the top: `plotdata` and `compare` never parse YAML
 
@@ -100,127 +92,95 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad UTF-8, dates or numbers
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    doc = dict(doc)
 
-    ds_node = dict(_expect_mapping(doc.pop("dataset", None), "dataset"))
-    dataset = DatasetBlock(
-        path=_take(ds_node, "dataset", "path", str),
-        target=_take(ds_node, "dataset", "target", str),
-        protected=_str_tuple(ds_node.pop("protected", None), "dataset.protected"),
-        drop=_str_tuple(ds_node.pop("drop", None), "dataset.drop"),
-        categorical=_str_tuple(ds_node.pop("categorical", None), "dataset.categorical"),
-    )
-    _reject_unknown(ds_node, "dataset")
+    # The YAML differs from the dataclasses in three places: `output.directory`
+    # is `output_dir`, the box is a mapping, and `epsilon` unsets `fraction`.
+    output = _mapping(doc.pop("output", None), "output", {"directory"})
+    given = {"source_path": str(path), "output_dir": _value(
+        str, output.get("directory", ExperimentConfig.output_dir), "output.directory")}
+    if isinstance(constraint := doc.get("constraint"), dict):
+        if "epsilon" in constraint:
+            constraint.setdefault("fraction", None)
+        if constraint.get("box") is not None:
+            box = dict(zip(("lower", "upper"), ConstraintBlock.box)) | _mapping(
+                constraint["box"], "constraint.box", ("lower", "upper"))
+            constraint["box"] = tuple(_value(float, v, f"constraint.box.{k}")
+                                      for k, v in box.items())
+    cfg = _read(ExperimentConfig, doc, "", **given)
+    # here, not in RunBlock: a benchmark's RunBlock may record a single instance
+    if cfg.run.folds < 2:
+        raise ConfigError(f"run.folds: must be at least 2, got {cfg.run.folds}")
+    return cfg
 
-    c_node = dict(_expect_mapping(doc.pop("constraint", None), "constraint"))
-    fraction = c_node.pop("fraction", 0.2 if "epsilon" not in c_node else None)
-    epsilon = c_node.pop("epsilon", None)
-    if fraction is not None:
-        if not isinstance(fraction, (int, float)) or isinstance(fraction, bool) \
-                or not 0 < float(fraction) <= 1:
-            raise ConfigError(f"constraint.fraction: expected a number in (0, 1], got {fraction!r}")
-        fraction = float(fraction)
-    if epsilon is not None:
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or float(epsilon) < 0:
-            raise ConfigError(f"constraint.epsilon: expected a nonnegative number, got {epsilon!r}")
-        epsilon = float(epsilon)
-    box_node = c_node.pop("box", {"lower": 0.0, "upper": 1.0})
-    if box_node is None:
-        box = None
-    else:
-        box_node = dict(_expect_mapping(box_node, "constraint.box"))
-        box = (_take(box_node, "constraint.box", "lower", (int, float), 0.0),
-               _take(box_node, "constraint.box", "upper", (int, float), 1.0))
-        _reject_unknown(box_node, "constraint.box")
-        if box[0] > box[1]:
-            raise ConfigError("constraint.box: lower exceeds upper")
-        box = (float(box[0]), float(box[1]))
-    _reject_unknown(c_node, "constraint")
-    constraint = ConstraintBlock(fraction=fraction, epsilon=epsilon, box=box)
 
-    r_node = dict(_expect_mapping(doc.pop("run", None), "run"))
-    loss_node = dict(_expect_mapping(r_node.pop("loss", {"kind": "mse"}), "run.loss"))
-    loss_kind = _take(loss_node, "run.loss", "kind", str)
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"run.loss.kind: must be one of {LOSS_KINDS}, got {loss_kind!r}")
-    huber_m = _take(loss_node, "run.loss", "huber_m", (int, float), 0.1)
-    _reject_unknown(loss_node, "run.loss")
-    loss = LossSpec(loss_kind, float(huber_m))
-
-    alphas_node = r_node.pop("alphas", None)
-    if not isinstance(alphas_node, list) or not alphas_node:
-        raise ConfigError("run.alphas: expected a nonempty list of numbers")
-    alphas = []
-    for i, a in enumerate(alphas_node):
-        if not isinstance(a, (int, float)) or isinstance(a, bool) or not 0 <= float(a) < 1:
-            raise ConfigError(f"run.alphas[{i}]: expected a number in [0, 1), got {a!r}")
-        alphas.append(float(a))
-
-    l_node = dict(_expect_mapping(r_node.pop("learner", {"kind": "gbt"}), "run.learner"))
-    learner_kind = _take(l_node, "run.learner", "kind", str)
-    if learner_kind not in LEARNER_KINDS:
-        raise ConfigError(f"run.learner.kind: must be one of {LEARNER_KINDS}, got {learner_kind!r}")
+def _read(cls, node, where: str, **values):
+    """A `cls` read from the YAML mapping `node` by its fields' types, except
+    those given in `values`. An absent field takes its default; each error is
+    a ConfigError that names the dotted field."""
+    schema = [entry for entry in _schema(cls) if entry[0] not in values]
+    node = _mapping(node, where or "config", [name for name, _, _ in schema])
+    for name, hint, required in schema:
+        at = f"{where}.{name}" if where else name
+        if name in node or (required and is_dataclass(hint)):
+            values[name] = _value(hint, node.get(name), at)
+        elif required:
+            raise ConfigError(f"{at}: required field is missing")
     try:
-        learner = LearnerSpec(
-            kind=learner_kind,
-            ridge_lambda=float(_take(l_node, "run.learner", "ridge_lambda", (int, float), 0.0)),
-            n_trees=_take(l_node, "run.learner", "n_trees", int, 50),
-            max_depth=_take(l_node, "run.learner", "max_depth", int, 3),
-            learning_rate=float(_take(l_node, "run.learner", "learning_rate", (int, float), 0.1)),
-            min_samples_leaf=_take(l_node, "run.learner", "min_samples_leaf", int, 5),
-            seed=_take(l_node, "run.learner", "seed", int, 0),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"run.learner: {exc}") from exc
-    _reject_unknown(l_node, "run.learner")
+        # the checks start their message with the field they reject, if any
+        head = str(exc).split(":")[0].split("[")[0]
+        joint = "." if any(head == f.name for f in fields(cls)) else ": "
+        raise ConfigError(f"{where}{joint}{exc}") from None
 
-    algorithms = r_node.pop("algorithms", ["affine_extension"])
-    algorithms = _str_tuple(algorithms, "run.algorithms")
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise ConfigError(f"run.algorithms: unknown algorithm {name!r}")
-    if not algorithms:
-        raise ConfigError("run.algorithms: need at least one algorithm")
 
-    beta = _take(r_node, "run", "beta", (int, float), 0.1)
-    if beta < 0:
-        raise ConfigError(f"run.beta: must be nonnegative, got {beta}")
-    iterations = _take(r_node, "run", "iterations", int, 30)
-    if iterations < 1:
-        raise ConfigError(f"run.iterations: must be at least 1, got {iterations}")
-    folds = _take(r_node, "run", "folds", int, 5)
-    if folds < 2:
-        raise ConfigError(f"run.folds: must be at least 2, got {folds}")
-    seed = _take(r_node, "run", "seed", int, 0)
-    normalization = _take(r_node, "run", "normalization", str, "train")
-    if normalization not in NORMALIZATION_MODES:
-        raise ConfigError(f"run.normalization: must be one of {NORMALIZATION_MODES}")
-    _reject_unknown(r_node, "run")
-    run = RunBlock(loss=loss, alphas=tuple(alphas), beta=float(beta), iterations=iterations,
-                   learner=learner, algorithms=algorithms, folds=folds, seed=seed,
-                   normalization=normalization)
+@functools.cache
+def _schema(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+                 for f in fields(cls))
 
-    s_node = dict(_expect_mapping(doc.pop("solver", None), "solver"))
-    solver = SolverOptions(
-        tolerance=float(_take(s_node, "solver", "tolerance", (int, float), 1e-7)),
-        max_iterations=_take(s_node, "solver", "max_iterations", int, 20000),
-        warm_start=_take(s_node, "solver", "warm_start", bool, True),
-    )
-    if solver.tolerance <= 0 or solver.max_iterations < 1:
-        raise ConfigError("solver: tolerance must be positive and max_iterations at least 1")
-    _reject_unknown(s_node, "solver")
 
-    o_node = dict(_expect_mapping(doc.pop("output", None), "output"))
-    output_dir = _take(o_node, "output", "directory", str, "out")
-    _reject_unknown(o_node, "output")
-    _reject_unknown(doc, "config")
+def _value(hint, value, at: str):
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _read(hint, value, at)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{at}: expected a list, got {value!r}")
+        args = get_args(hint)
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) != len(value):
+            raise ConfigError(f"{at}: expected {len(kinds)} items, got {len(value)}")
+        return tuple(_value(kind, v, f"{at}[{i}]")
+                     for i, (kind, v) in enumerate(zip(kinds, value)))
+    if hint is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{at}: {value} is out of range for a float") from None
+    if type(value) is not hint:
+        raise ConfigError(f"{at}: expected {hint.__name__}, got {value!r}")
+    return value
 
-    return ExperimentConfig(dataset=dataset, constraint=constraint, run=run,
-                            solver=solver, output_dir=output_dir, source_path=str(path))
+
+def _mapping(node, where: str, keys) -> dict:
+    """`node` as a mapping whose keys are among `keys`; None reads as empty."""
+    if node is None:
+        return {}
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {type(node).__name__}")
+    unknown = node.keys() - set(keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(map(str, unknown))}")
+    return node
 
 
 def validate_dataset_columns(cfg: ExperimentConfig) -> list[str]:

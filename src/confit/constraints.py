@@ -368,6 +368,6 @@ def is_member(cs: ConstraintSet, z: np.ndarray, tol: float = DEFAULT_MEMBER_TOL)
     return _geometry(cs).member_violation(cs.extend(z)) <= tol
 
 
-def didi_epsilon(y: np.ndarray, protected, fraction: float = 0.2) -> float:
+def didi_epsilon(y: np.ndarray, protected, fraction: float) -> float:
     """The bound used in the experiments: a fraction of the training target's index."""
     return fraction * didi_value(y, protected)

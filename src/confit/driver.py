@@ -28,7 +28,7 @@ from .data import Dataset
 from .errors import DataError
 from .learners import LearnerSpec, fit, predict
 from .losses import LossSpec, loss_norm
-from .metrics import r_squared
+from .metrics import didi_ratio, r_squared
 from .solver import (DEFAULT_OPTIONS, ProjectionProblem, SolverOptions,
                      SolverReport, project, project_ball_intersection,
                      project_blend)
@@ -297,10 +297,10 @@ class _Metrics:
         self.test_ok = bool(test.protected) and self.train_didi > 0
 
     def ratios(self, yhat_train, yhat_test) -> tuple[float, float]:
-        if self.train_didi <= 0:
+        if not self.train_didi > 0:
             return float("nan"), float("nan")
-        c_train = didi_value(yhat_train, self.train.protected) / self.train_didi
-        c_test = (didi_value(yhat_test, self.test.protected) / self.train_didi
+        c_train = didi_ratio(yhat_train, self.train.protected, self.train_didi)
+        c_test = (didi_ratio(yhat_test, self.test.protected, self.train_didi)
                   if self.test_ok else float("nan"))
         return c_train, c_test
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import ExperimentConfig, resolved_dataset_path, validate_dataset_columns
 from .constraints import (ConstraintSet, build_box, build_didi_constraints,
-                          didi_value, intersect)
+                          didi_epsilon, intersect)
 from .data import (ColumnRoles, Dataset, apply_normalization, fold_indices,
                    kfold_split, load_csv, normalize, ordinal_encode)
 from .driver import IterationHistory, RunConfig, encode_fields, run
@@ -84,14 +84,12 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
 def build_constraints(cfg: ExperimentConfig, train: Dataset) -> ConstraintSet:
     parts = []
     if cfg.dataset.protected:
-        if cfg.constraint.epsilon is not None:
-            eps = cfg.constraint.epsilon
-        else:
-            base = didi_value(train.y, train.protected)
-            if base <= 0:
+        eps = cfg.constraint.epsilon
+        if eps is None:
+            eps = didi_epsilon(train.y, train.protected, cfg.constraint.fraction)
+            if eps <= 0:  # the fraction is positive, so the training index is zero
                 raise DataError("training disparate-impact index is zero; the "
                                 "fractional constraint is vacuous")
-            eps = cfg.constraint.fraction * base
         parts.append(build_didi_constraints(train.protected, eps, train.n))
     if cfg.constraint.box is not None:
         parts.append(build_box(cfg.constraint.box[0], cfg.constraint.box[1], train.n))

@@ -31,13 +31,15 @@ class LearnerSpec:
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}; expected one of {LEARNER_KINDS}")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be nonnegative")
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_samples_leaf < 1:
-            raise ValueError("tree count, depth and min leaf size must be at least 1")
+            raise ValueError(f"kind: unknown learner kind {self.kind!r}; "
+                             f"expected one of {LEARNER_KINDS}")
+        if not self.ridge_lambda >= 0:
+            raise ValueError(f"ridge_lambda: must be nonnegative, got {self.ridge_lambda}")
+        for name in ("n_trees", "max_depth", "min_samples_leaf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         if not 0 < self.learning_rate <= 1:
-            raise ValueError("learning rate must be in (0, 1]")
+            raise ValueError(f"learning_rate: must be in (0, 1], got {self.learning_rate}")
 
 
 @dataclass

@@ -32,9 +32,9 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
+            raise ValueError(f"kind: unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         if self.kind == "huber" and not self.huber_m > 0:
-            raise ValueError(f"huber threshold must be positive, got {self.huber_m}")
+            raise ValueError(f"huber_m: the huber threshold must be positive, got {self.huber_m}")
 
 
 MSE = LossSpec("mse")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, _dykstra, _geometry, _Geometry
-from .losses import LossSpec, loss_value, project_ball, prox_pair, prox_unit
+from .losses import LossSpec, loss_norm, loss_value, project_ball, prox_pair, prox_unit
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,12 @@ class SolverOptions:
     tolerance: float = 1e-7
     max_iterations: int = 20000
     warm_start: bool = True
+
+    def __post_init__(self):
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance: must be positive, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations: must be at least 1, got {self.max_iterations}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -398,16 +404,10 @@ def lipschitz_probe(loss: LossSpec, constraints: ConstraintSet, samples: int,
     for _ in range(samples):
         x1 = rng.uniform(PROBE_SPAN[0], PROBE_SPAN[1], n)
         x2 = rng.uniform(PROBE_SPAN[0], PROBE_SPAN[1], n)
-        gap = _norm(loss, x1 - x2)
+        gap = loss_norm(loss, x1 - x2)
         if gap < 1e-12:
             continue  # degenerate pair: the ratio is undefined
         p1 = project(ProjectionProblem(loss, x1, constraints), opts).solution
         p2 = project(ProjectionProblem(loss, x2, constraints), opts).solution
-        worst = max(worst, _norm(loss, p1 - p2) / gap)
+        worst = max(worst, loss_norm(loss, p1 - p2) / gap)
     return worst
-
-
-def _norm(loss: LossSpec, v: np.ndarray) -> float:
-    if loss.kind == "mae":
-        return float(np.abs(v).sum())
-    return float(np.linalg.norm(v))

@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import operator
 import os
 import re
 import subprocess
@@ -9,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 import confit
 from confit.cli import main
-from confit.config import load_config
-from confit.errors import DataError
+from confit.config import ExperimentConfig, load_config
+from confit.errors import ConfigError, DataError
 from confit.experiment import (_run_one, load_history_file, plotdata_rows, prepare_folds,
                                sidecar_path, write_history_file)
 from confit.synth import write_school_csv
@@ -62,6 +67,125 @@ def test_invalid_config_exit_2_with_field_message(tmp_path, csv_50, capsys):
     cfg = write_config(tmp_path, csv_50, alphas="[1.5]")
     assert main(["validate-config", "--config", str(cfg)]) == 2
     assert "run.alphas[0]" in capsys.readouterr().err
+
+
+def _case(field, unknown=None, **blocks):
+    return pytest.param(blocks, field, unknown, id=field + (f"+{unknown}" if unknown else ""))
+
+
+MALFORMED = [
+    _case("run.loss.huber_m", run="{alphas: [0.5], loss: {kind: huber, huber_m: -1}}"),
+    _case("run.loss.huber_m", run="{alphas: [0.5], loss: {kind: huber, huber_m: 0}}"),
+    _case("run.loss.kind", run="{alphas: [0.5], loss: {kind: hinge}}"),
+    _case("constraint.box", constraint="{box: [0, 1]}"),
+    _case("constraint.box", constraint="{box: {lower: 1, upper: 0}}"),
+    _case("constraint.box.upper", constraint="{box: {upper: high}}"),
+    _case("constraint", constraint="[1]"),
+    _case("constraint.fraction", constraint="{fraction: true}"),
+    _case("run.alphas[0]", run="{alphas: [1.5]}"),
+    _case("run.alphas[1]", run="{alphas: [0.5, x]}"),
+    _case("run.alphas", run="{alphas: []}"),
+    _case("run.alphas", run="{beta: 0.1}"),
+    _case("run.folds", run="{alphas: [0.5], folds: 1}"),
+    _case("run.algorithms", run="{alphas: [0.5], algorithms: [gradient_descent]}"),
+    _case("run.beta", run="{alphas: [0.5], beta: " + "9" * 400 + "}"),
+    _case("solver.tolerance", solver="{tolerance: 0}"),
+    _case("solver.warm_start", solver="{warm_start: 1}"),
+    _case("run.learner.max_depth", run="{alphas: [0.5], learner: {kind: gbt, max_depth: 0}}"),
+    _case("config", "extra", extra="1"),
+    _case("config", "output_dir", output_dir="elsewhere"),
+    _case("dataset", "extra", dataset="{path: data.csv, target: grade, extra: 1}"),
+    _case("constraint", "extra", constraint="{extra: 1}"),
+    _case("constraint.box", "extra", constraint="{box: {lower: 0, extra: 1}}"),
+    _case("run", "extra", run="{alphas: [0.5], extra: 1}"),
+    _case("run.loss", "extra", run="{alphas: [0.5], loss: {kind: mse, extra: 1}}"),
+    _case("run.learner", "extra", run="{alphas: [0.5], learner: {kind: gbt, extra: 1}}"),
+    _case("solver", "extra", solver="{extra: 1}"),
+    _case("output", "extra", output="{extra: 1}"),
+]
+
+
+@pytest.mark.parametrize("blocks, field, unknown", MALFORMED)
+def test_malformed_config_exit_2_names_field(tmp_path, csv_50, capsys, blocks, field, unknown):
+    doc = {"dataset": f"{{path: {csv_50}, target: grade, protected: [sex]}}",
+           "run": "{alphas: [0.5], learner: {kind: ridge}}", **blocks}
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("".join(f"{key}: {value}\n" for key, value in doc.items()))
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") or err.startswith(f"config error: {field}[")
+    if unknown:
+        assert repr(unknown) in err
+
+
+@pytest.mark.parametrize("raw", [b"run: {beta: " + b"9" * 5000 + b"}",
+                                 b"dataset: {path: 2020-13-45}", b"run: {beta: !!float x}",
+                                 b"run: {seed: \xff}"])
+def test_unreadable_yaml_value_exit_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(raw)
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+
+
+FULL_CONFIG = {  # every key of the schema, each with a valid value
+    "dataset": {"path": "school.csv", "target": "grade", "protected": ["sex"], "drop": [],
+                "categorical": ["sex"]},
+    "constraint": {"fraction": 0.2, "epsilon": None, "box": {"lower": 0.0, "upper": 1.0}},
+    "run": {"loss": {"kind": "huber", "huber_m": 0.1}, "alphas": [0.1, 0.5], "beta": 0.1,
+            "iterations": 30, "learner": {"kind": "gbt", "ridge_lambda": 0.0, "n_trees": 50,
+                                          "max_depth": 3, "learning_rate": 0.1,
+                                          "min_samples_leaf": 5, "seed": 0},
+            "algorithms": ["affine_extension"], "folds": 5, "seed": 7, "normalization": "train"},
+    "solver": {"tolerance": 1e-7, "max_iterations": 20000, "warm_start": True},
+    "output": {"directory": "out"},
+}
+_DROP = object()
+
+
+def _key_paths(node, prefix=()):
+    """Every key and list index under `node`, and a stray key in each mapping."""
+    if isinstance(node, dict):
+        yield prefix + ("stray",)
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.integers(0, 10), st.floats(0, 1),
+    st.sampled_from(["mse", "mae", "huber", "ridge", "gbt", "moving_targets", "full"]))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(list(_key_paths(FULL_CONFIG))),
+                                st.one_of(st.just(_DROP), _VALUES)), max_size=3))
+def test_any_yaml_mapping_gives_config_or_config_error(tmp_path_factory, edits):
+    doc = copy.deepcopy(FULL_CONFIG)
+    for path, value in edits:  # drop a key or set it to any YAML value
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced a step of the path
+    path = tmp_path_factory.getbasetemp() / "property.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        assert edits, "the unedited document must load"
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert all(type(a) is float and 0 <= a < 1 for a in cfg.run.alphas)
 
 
 def test_unknown_column_exit_2(tmp_path, csv_50, capsys):

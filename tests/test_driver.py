@@ -277,7 +277,7 @@ def test_settled_feasible_steps_end_after_one_pdhg_step():
     protected = (ProtectedSpec(0, {0: np.flatnonzero(x[:, 0] == 0),
                                    1: np.flatnonzero(x[:, 0] == 1)}),)
     ds = Dataset(x, y, ["g", "b", "c"], [(0.0, 1.0)] * 3, "t", (0.0, 1.0), protected)
-    cs = intersect(build_didi_constraints(protected, didi_epsilon(y, protected), n),
+    cs = intersect(build_didi_constraints(protected, didi_epsilon(y, protected, 0.2), n),
                    build_box(0.0, 1.0, n))
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=30, loss=MSE,
                        learner=RIDGE0)
