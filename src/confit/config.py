@@ -11,7 +11,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .driver import ALGORITHMS
+from .driver import check_run
 from .errors import ConfigError
 from .learners import LearnerSpec
 from .losses import LossSpec
@@ -57,18 +57,7 @@ class RunBlock:
     normalization: str = "train"
 
     def __post_init__(self):
-        if not self.alphas:
-            raise ValueError("alphas: expected a nonempty list of numbers")
-        for i, a in enumerate(self.alphas):
-            if not 0 <= a < 1:
-                raise ValueError(f"alphas[{i}]: expected a number in [0, 1), got {a!r}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta: must be nonnegative, got {self.beta}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations: must be at least 1, got {self.iterations}")
-        if not self.algorithms or not set(self.algorithms) <= set(ALGORITHMS):
-            raise ValueError(f"algorithms: expected a nonempty list from {ALGORITHMS}, "
-                             f"got {list(self.algorithms)}")
+        check_run(self.alphas, self.beta, self.iterations, self.algorithms)
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"normalization: expected one of {NORMALIZATION_MODES}, "
                              f"got {self.normalization!r}")
@@ -83,6 +72,13 @@ class ExperimentConfig:
     output_dir: str = "out"
     source_path: str | None = None
 
+    def __post_init__(self):
+        # here, not in ConstraintBlock: a set without protected columns needs neither
+        if self.dataset.protected and self.constraint.fraction is None \
+                and self.constraint.epsilon is None:
+            raise ValueError("constraint.fraction: expected a number in (0, 1] when "
+                             "dataset.protected is set and constraint.epsilon is not, got None")
+
 
 def load_config(path) -> ExperimentConfig:
     import yaml  # here, not at the top: `plotdata` and `compare` never parse YAML
@@ -92,6 +88,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or a file that may not be read
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror}") from None
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad UTF-8, dates or numbers
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -135,7 +133,7 @@ def _read(cls, node, where: str, **values):
         # the checks start their message with the field they reject, if any
         head = str(exc).split(":")[0].split("[")[0]
         joint = "." if any(head == f.name for f in fields(cls)) else ": "
-        raise ConfigError(f"{where}{joint}{exc}") from None
+        raise ConfigError(f"{where}{joint}{exc}" if where else str(exc)) from None
 
 
 @functools.cache

@@ -123,16 +123,6 @@ class Dataset:
     def with_protected(self, feature_indices) -> "Dataset":
         return replace(self, protected=build_protected(self, feature_indices))
 
-    def select(self, indices) -> "Dataset":
-        """Row subset; protected groups are regrouped on the subset."""
-        indices = np.asarray(indices, dtype=int)
-        sub = replace(self, x=self.x[indices], y=self.y[indices], protected=())
-        specs = tuple(
-            ProtectedSpec(s.feature_index, _group_rows(sub.feature_column_raw(s.feature_index)))
-            for s in self.protected
-        )
-        return replace(sub, protected=specs)
-
 
 def load_csv(path, roles: ColumnRoles) -> RawTable:
     """Read a header-first CSV, drop configured columns, and drop any row with a
@@ -330,14 +320,3 @@ def fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise DataError(f"cannot split {n} rows into {k} folds")
     perm = shuffled_indices(n, seed)
     return [np.sort(perm[j::k]) for j in range(k)]
-
-
-def kfold_split(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic k-fold split of an already-normalized dataset."""
-    folds = fold_indices(dataset.n, k, seed)
-    out = []
-    all_rows = np.arange(dataset.n)
-    for test_rows in folds:
-        train_rows = np.setdiff1d(all_rows, test_rows)
-        out.append((dataset.select(train_rows), dataset.select(test_rows)))
-    return out

@@ -1,7 +1,7 @@
-"""The iteration drivers: initial training, the feasible/infeasible target
+"""The iteration driver: initial training, the feasible/infeasible target
 adjustment branch, retraining, and per-iteration diagnostics.
 
-Two algorithms share the loop:
+Two algorithms share the loop and differ only in its infeasible branch:
 
 * affine extension: when the current prediction violates the constraints, the
   blend (1-alpha)*y + alpha*yhat is projected onto the feasible set;
@@ -19,7 +19,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union, get_type_hints
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .data import Dataset
 from .errors import DataError
 from .learners import LearnerSpec, fit, predict
 from .losses import LossSpec, loss_norm
-from .metrics import didi_ratio, r_squared
+from .metrics import r_squared
 from .solver import (DEFAULT_OPTIONS, ProjectionProblem, SolverOptions,
                      SolverReport, project, project_ball_intersection,
                      project_blend)
@@ -37,13 +37,31 @@ ALGORITHMS = ("affine_extension", "moving_targets")
 
 log = logging.getLogger("confit")
 
-ConstraintSource = Union[ConstraintSet, Callable[[Dataset], ConstraintSet]]
+
+def check_run(alphas, beta: float, iterations: int, algorithms) -> None:
+    """The range checks of a run, shared by `RunConfig` (one alpha, one
+    algorithm) and the config's run block. Each message starts with the run
+    block's field it rejects."""
+    if not alphas:
+        raise ValueError("alphas: expected a nonempty list of numbers")
+    for i, a in enumerate(alphas):
+        if not 0 <= a < 1:
+            raise ValueError(f"alphas[{i}]: expected a number in [0, 1), got {a!r}")
+        if a == 0 and "moving_targets" in algorithms:
+            raise ValueError(f"alphas[{i}]: moving_targets needs alpha in (0, 1), got {a!r}")
+    if not beta >= 0:
+        raise ValueError(f"beta: must be nonnegative, got {beta}")
+    if iterations < 1:
+        raise ValueError(f"iterations: must be at least 1, got {iterations}")
+    if not algorithms or not set(algorithms) <= set(ALGORITHMS):
+        raise ValueError(f"algorithms: expected a nonempty list from {ALGORITHMS}, "
+                         f"got {list(algorithms)}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     alpha: float
-    constraints: ConstraintSource
+    constraints: ConstraintSet
     beta: float = 0.1
     iterations: int = 30
     loss: LossSpec = LossSpec("mse")
@@ -55,14 +73,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.alpha < 1:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_run((self.alpha,), self.beta, self.iterations, (self.algorithm,))
 
 
 @dataclass(frozen=True)
@@ -276,12 +287,6 @@ def _checked(value, kind):
     return value
 
 
-def _resolve_constraints(source: ConstraintSource, train: Dataset) -> ConstraintSet:
-    if isinstance(source, ConstraintSet):
-        return source
-    return source(train)
-
-
 def _safe_r2(y_true, y_pred) -> float:
     try:
         return r_squared(y_true, y_pred)
@@ -299,52 +304,21 @@ class _Metrics:
     def ratios(self, yhat_train, yhat_test) -> tuple[float, float]:
         if not self.train_didi > 0:
             return float("nan"), float("nan")
-        c_train = didi_ratio(yhat_train, self.train.protected, self.train_didi)
-        c_test = (didi_ratio(yhat_test, self.test.protected, self.train_didi)
+        c_train = didi_value(yhat_train, self.train.protected) / self.train_didi
+        c_test = (didi_value(yhat_test, self.test.protected) / self.train_didi
                   if self.test_ok else float("nan"))
         return c_train, c_test
 
 
-def run_affine_extension(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
-    """The blend-and-project iteration."""
-    if config.algorithm != "affine_extension":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}")
-
-    def master(cs, yhat, warm) -> SolverReport:
-        blend = (1.0 - config.alpha) * train.y + config.alpha * yhat
-        return project(ProjectionProblem(config.loss, blend, cs), config.solver, warm)
-
-    return _run_loop(config, train, test, master)
-
-
-def run_moving_targets(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
-    """The combined-objective baseline: the infeasible adjustment minimizes
-    loss(z, y) + (1/alpha_m) * loss(z, yhat) with alpha_m = 1/alpha - 1."""
-    if config.algorithm != "moving_targets":
-        raise ValueError(f"config.algorithm is {config.algorithm!r}")
-    if config.alpha <= 0:
-        raise ValueError("moving targets needs alpha in (0, 1)")
-    alpha_m = alpha_convert(config.alpha)
-    weight = 1.0 / alpha_m if alpha_m > 0 else float("inf")
-    if not np.isfinite(weight):
-        raise ValueError("alpha = 1 gives an infinite prediction weight")
-
-    def master(cs, yhat, warm) -> SolverReport:
-        return project_blend(config.loss, train.y, yhat, weight, cs, config.solver, warm)
-
-    return _run_loop(config, train, test, master)
-
-
 def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
-    if config.algorithm == "affine_extension":
-        return run_affine_extension(config, train, test)
-    return run_moving_targets(config, train, test)
-
-
-def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> IterationHistory:
-    cs = _resolve_constraints(config.constraints, train)
+    """One run of the loop. On the infeasible branch the affine extension
+    projects the blend (1-alpha)*y + alpha*yhat, and moving targets minimizes
+    loss(z, y) + (1/alpha_m) * loss(z, yhat) with alpha_m = alpha_convert(alpha)."""
+    cs = config.constraints
     if cs.n != train.n:
         raise ValueError(f"constraint set is over {cs.n} outputs but train has {train.n} rows")
+    blended = config.algorithm == "affine_extension"
+    weight = None if blended else 1.0 / alpha_convert(config.alpha)
     loss = config.loss
     gauges = _Metrics(train, test)
 
@@ -372,7 +346,12 @@ def _run_loop(config: RunConfig, train: Dataset, test: Dataset, master) -> Itera
         fallback = False
         if not is_member(cs, yhat, DEFAULT_MEMBER_TOL):
             branch = "infeasible"
-            report = master(cs, yhat, warm_master)
+            if blended:
+                anchor = (1.0 - config.alpha) * train.y + config.alpha * yhat
+                report = project(ProjectionProblem(loss, anchor, cs), config.solver, warm_master)
+            else:
+                report = project_blend(loss, train.y, yhat, weight, cs, config.solver,
+                                       warm_master)
             warm_master = report.state
         else:
             branch = "feasible"

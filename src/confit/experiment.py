@@ -35,7 +35,7 @@ from .config import ExperimentConfig, resolved_dataset_path, validate_dataset_co
 from .constraints import (ConstraintSet, build_box, build_didi_constraints,
                           didi_epsilon, intersect)
 from .data import (ColumnRoles, Dataset, apply_normalization, fold_indices,
-                   kfold_split, load_csv, normalize, ordinal_encode)
+                   load_csv, normalize, ordinal_encode)
 from .driver import IterationHistory, RunConfig, encode_fields, run
 from .errors import ConfitError, DataError
 from .metrics import SERIES_NAMES, FoldSummary, significance_flag, summarize_folds
@@ -51,8 +51,9 @@ class FoldData:
 
 
 def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
-    """Load, encode, split, and normalize according to the config. In `train`
-    normalization mode the scaling is fitted on each training fold only."""
+    """Load, encode, split, and normalize according to the config. The ranges
+    come from the whole table in `full` normalization mode and from each
+    training fold in `train` mode; the test fold is scaled by them too."""
     roles = ColumnRoles(target=cfg.dataset.target, drop=cfg.dataset.drop,
                         categorical=cfg.dataset.categorical,
                         protected=cfg.dataset.protected)
@@ -60,24 +61,21 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
     if table.dropped_rows:
         log.info("dropped %d rows with missing values", table.dropped_rows)
     table = ordinal_encode(table, [c for c in cfg.dataset.categorical])
-    protected_names = list(cfg.dataset.protected)
+    target = cfg.dataset.target
+    full = normalize(table, target) if cfg.run.normalization == "full" else None
 
     def attach_protected(ds: Dataset) -> Dataset:
-        indices = [ds.feature_names.index(name) for name in protected_names]
-        return ds.with_protected(indices)
+        return ds.with_protected([ds.feature_names.index(name)
+                                  for name in cfg.dataset.protected])
 
-    if cfg.run.normalization == "full":
-        full = attach_protected(normalize(table, cfg.dataset.target))
-        return [FoldData(j, train, test) for j, (train, test)
-                in enumerate(kfold_split(full, cfg.run.folds, cfg.run.seed))]
     all_rows = np.arange(table.n)
     out = []
     for j, test_rows in enumerate(fold_indices(table.n, cfg.run.folds, cfg.run.seed)):
-        train_rows = np.setdiff1d(all_rows, test_rows)
-        train = attach_protected(normalize(table.select_rows(train_rows), cfg.dataset.target))
-        test = attach_protected(apply_normalization(table.select_rows(test_rows),
-                                                    cfg.dataset.target, train))
-        out.append(FoldData(j, train, test))
+        rows = table.select_rows(np.setdiff1d(all_rows, test_rows))
+        train = normalize(rows, target) if full is None else apply_normalization(rows, target, full)
+        test = apply_normalization(table.select_rows(test_rows), target,
+                                   train if full is None else full)
+        out.append(FoldData(j, attach_protected(train), attach_protected(test)))
     return out
 
 
@@ -102,18 +100,13 @@ def build_constraints(cfg: ExperimentConfig, train: Dataset) -> ConstraintSet:
     return cs
 
 
-def _run_one(cfg: ExperimentConfig, algorithm: str, alpha: float, fold: FoldData) -> IterationHistory:
-    constraints = build_constraints(cfg, fold.train)
+def _run_task(args) -> IterationHistory:
+    cfg, algorithm, alpha, fold = args
     run_config = RunConfig(
-        alpha=alpha, constraints=constraints, beta=cfg.run.beta,
+        alpha=alpha, constraints=build_constraints(cfg, fold.train), beta=cfg.run.beta,
         iterations=cfg.run.iterations, loss=cfg.run.loss, learner=cfg.run.learner,
         algorithm=algorithm, solver=cfg.solver, seed=cfg.run.seed)
     return run(run_config, fold.train, fold.test)
-
-
-def _run_task(args):
-    cfg, algorithm, alpha, fold = args
-    return _run_one(cfg, algorithm, alpha, fold)
 
 
 def format_float(x) -> str:

@@ -2,9 +2,6 @@
 closed-form ridge (exact affine range projection, the learner the convergence
 theory needs) and a from-scratch deterministic gradient-boosted tree ensemble
 (the experimental learner).
-
-Fitting a model to a target vector IS the projection onto the model's range,
-so `range_projection_fit` is provided as an explicit alias of `fit`.
 """
 
 from __future__ import annotations
@@ -95,12 +92,6 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
         model = _fit_gbt(spec, x, target, loss)
     model.training_loss = loss_value(loss, model.train_prediction, target)
     return model
-
-
-def range_projection_fit(spec: LearnerSpec, x, target, loss: LossSpec) -> FittedModel:
-    """Alias of `fit`, named for its role: projection of the target onto the
-    set of outputs the model can produce."""
-    return fit(spec, x, target, loss)
 
 
 def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
@@ -292,18 +283,3 @@ def _fit_gbt(spec: LearnerSpec, x, target, loss) -> FittedModel:
         trees.append(tree)
     return FittedModel(spec=spec, loss=loss, d=x.shape[1], init=float(target.mean()),
                        trees=trees, train_prediction=current)
-
-
-def training_curve(spec: LearnerSpec, x, target, loss: LossSpec) -> np.ndarray:
-    """Training loss after each boosting round (diagnostic; gbt only)."""
-    if spec.kind != "gbt":
-        raise ValueError("training_curve is defined for gbt learners")
-    x = np.asarray(x, dtype=float)
-    target = np.asarray(target, dtype=float)
-    model = _fit_gbt(spec, x, target, loss)
-    current = np.full(x.shape[0], model.init)
-    losses = []
-    for tree in model.trees:
-        current += spec.learning_rate * tree.apply(x)
-        losses.append(loss_value(loss, current, target))
-    return np.array(losses)

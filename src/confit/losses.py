@@ -140,7 +140,9 @@ def prox_pair(spec: LossSpec, t, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
         return z
     # huber pair: the derivative t*[g'(z-a1) + w2*g'(z-a2)] + (z - v) is
     # increasing and piecewise linear, with kinks at a1 -+ m and a2 -+ m and
-    # slope 1 outside them; solve it on the piece where it changes sign
+    # slope 1 outside them. The knots locate the piece where it changes sign;
+    # on that piece each g' term is 2(z - a) or 2*(-+m), so its root solves
+    # one linear equation, to within rounding of the values, not of m
     m = spec.huber_m
     lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
     knots = np.array([lo - m, np.minimum(lo + m, hi - m), np.maximum(lo + m, hi - m), hi + m])
@@ -149,11 +151,14 @@ def prox_pair(spec: LossSpec, t, v: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     np.maximum.accumulate(dphi, axis=0, out=dphi)  # monotone through rounding
     below = np.count_nonzero(dphi <= 0.0, axis=0)  # knots left of the root
     cols = np.arange(v.size)
-    left, right = np.maximum(below - 1, 0), np.minimum(below, 3)
-    k, d = knots[left, cols], dphi[left, cols]
-    inner = left < right  # between two knots; left of the first or right of the last, slope 1
-    return k - d * np.where(inner, knots[right, cols] - k, 1.0) \
-        / np.where(inner, dphi[right, cols] - d, 1.0)
+    left, right = knots[np.maximum(below - 1, 0), cols], knots[np.minimum(below, 3), cols]
+    # a point inside that piece: m past the end knot when the root is outside them
+    inside = np.where(below == 0, left - m, np.where(below == 4, right + m, 0.5 * (left + right)))
+    quad1, quad2 = np.abs(inside - a1) < m, np.abs(inside - a2) < m
+    shift = np.where(quad1, a1, -m * np.sign(inside - a1)) \
+        + w2 * np.where(quad2, a2, -m * np.sign(inside - a2))
+    z = (v + 2.0 * t * shift) / (1.0 + 2.0 * t * (quad1 + w2 * quad2))
+    return np.where((below > 0) & (below < 4), np.clip(z, left, right), z)
 
 
 def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float) -> np.ndarray:

@@ -1,13 +1,11 @@
-"""Evaluation quantities: coefficient of determination, disparate-impact
-ratio, and fold-aggregated summaries."""
+"""Evaluation quantities: coefficient of determination and fold-aggregated
+summaries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .constraints import didi_value
 
 SERIES_NAMES = ("r2_train", "r2_test", "c_train", "c_test")
 
@@ -25,13 +23,6 @@ def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         raise ValueError("R^2 undefined for a constant target")
     ss_res = float(((y_true - y_pred) ** 2).sum())
     return 1.0 - ss_res / ss_tot
-
-
-def didi_ratio(z: np.ndarray, protected, y_train_didi: float) -> float:
-    """Disparate-impact index of z relative to the training target's index."""
-    if not y_train_didi > 0:
-        raise ValueError("constraint vacuous: training disparate-impact index is zero")
-    return didi_value(z, protected) / y_train_didi
 
 
 @dataclass(frozen=True)

@@ -593,6 +593,41 @@ def sorted_scan_tree(x, grad_target, residual, leaf_value, max_depth, min_leaf):
     return build(np.arange(n), 0)
 
 
+def full_normalization_folds(full, folds):
+    """(train, test) row subsets of the dataset `full`, normalized over every
+    row, for each test fold in `folds`: each subset keeps the rows' values
+    and ranges, and each protected feature is grouped again on the subset by
+    its rounded raw value."""
+    out = []
+    for test_rows in folds:
+        train_rows = np.setdiff1d(np.arange(full.x.shape[0]), test_rows)
+        out.append((_row_subset(full, train_rows), _row_subset(full, test_rows)))
+    return out
+
+
+def _row_subset(ds, rows):
+    x = ds.x[rows]
+    specs = []
+    for spec in ds.protected:
+        lo, hi = ds.feature_ranges[spec.feature_index]
+        codes = np.rint(x[:, spec.feature_index] * (hi - lo) + lo).astype(int)
+        groups = {int(v): np.flatnonzero(codes == v) for v in sorted(set(codes.tolist()))}
+        specs.append(dataclasses.replace(spec, groups=groups))
+    return dataclasses.replace(ds, x=x, y=ds.y[rows], protected=tuple(specs))
+
+
+def training_curve(model, x, loss_of):
+    """Training loss after each boosting round of the fitted gbt `model`: each
+    round's prediction is rebuilt from the model's trees (their `apply`, scaled
+    by the learning rate), and `loss_of` gives a prediction's loss."""
+    current = np.full(x.shape[0], model.init)
+    losses = []
+    for tree in model.trees:
+        current = current + model.spec.learning_rate * tree.apply(x)
+        losses.append(loss_of(current))
+    return np.array(losses)
+
+
 def mean_std_two_pass(values):
     """Population mean/std computed the pedestrian way."""
     vals = [float(v) for v in values]

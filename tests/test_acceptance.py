@@ -12,8 +12,7 @@ import pytest
 from confit.constraints import (build_box, build_didi_constraints,
                                 from_inequalities, intersect, is_member)
 from confit.data import Dataset, ProtectedSpec
-from confit.driver import (RunConfig, alpha_convert, check_contraction_condition,
-                           run_affine_extension, run_moving_targets)
+from confit.driver import RunConfig, alpha_convert, check_contraction_condition, run
 from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE, pointwise
 from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
@@ -54,10 +53,8 @@ def test_criterion_1_equivalence_of_the_two_algorithms_mse():
         for alpha in (0.1, 0.5, 0.9):
             common = dict(constraints=cs, beta=0.05, iterations=30, loss=MSE,
                           learner=RIDGE0, solver=solver)
-            ha = run_affine_extension(
-                RunConfig(alpha=alpha, algorithm="affine_extension", **common), ds, ds)
-            hm = run_moving_targets(
-                RunConfig(alpha=alpha, algorithm="moving_targets", **common), ds, ds)
+            ha = run(RunConfig(alpha=alpha, algorithm="affine_extension", **common), ds, ds)
+            hm = run(RunConfig(alpha=alpha, algorithm="moving_targets", **common), ds, ds)
             assert len(ha.records) == len(hm.records) == 29
             for ra, rm in zip(ha.records, hm.records):
                 gap = float(np.max(np.abs(ra.z - rm.z)))
@@ -81,7 +78,7 @@ def test_criterion_2_contraction_with_exact_affine_range():
             config = RunConfig(alpha=alpha, constraints=cs, beta=0.0, iterations=200,
                                loss=MSE, learner=RIDGE0, solver=solver,
                                early_stop=True, stop_tol=1e-8)
-            history = run_affine_extension(config, ds, ds)
+            history = run(config, ds, ds)
             resid = history.series("residual")
             assert resid[-1] < 1e-7, f"no fixed point: final residual {resid[-1]:.2e}"
             assert len(resid) <= 200
@@ -109,7 +106,7 @@ def test_criterion_3_mae_bound_sufficient_not_necessary():
         config = RunConfig(alpha=0.2, constraints=cs, beta=0.0, iterations=300,
                            loss=MAE, learner=RIDGE0, solver=solver,
                            early_stop=True, stop_tol=9e-6)
-        history = run_affine_extension(config, ds, ds)
+        history = run(config, ds, ds)
         resid = history.series("residual")
         if resid.min() < 1e-5:
             converged += 1
@@ -124,7 +121,7 @@ def test_criterion_3_mae_bound_sufficient_not_necessary():
         config = RunConfig(alpha=0.9, constraints=cs, beta=0.0, iterations=60,
                            loss=MAE, learner=RIDGE0, solver=solver,
                            early_stop=True, stop_tol=9e-6)
-        history = run_affine_extension(config, ds, ds)
+        history = run(config, ds, ds)
         outcomes.append("converged" if history.series("residual").min() < 1e-5
                         else "not-converged")
     verdict = check_contraction_condition(MAE, 0.9)

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 import confit
 from confit.cli import main
-from confit.config import ExperimentConfig, load_config
+from confit.config import ExperimentConfig, load_config, resolved_dataset_path
+from confit.data import ColumnRoles, fold_indices, load_csv, normalize, ordinal_encode
 from confit.errors import ConfigError, DataError
-from confit.experiment import (_run_one, load_history_file, plotdata_rows, prepare_folds,
+from confit.experiment import (_run_task, load_history_file, plotdata_rows, prepare_folds,
                                sidecar_path, write_history_file)
 from confit.synth import write_school_csv
-from oracles import write_history_format_1, write_history_format_2
+from oracles import full_normalization_folds, write_history_format_1, write_history_format_2
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, csv_path, *, alphas="[0.5]", iterations=4, folds=2,
@@ -82,7 +85,11 @@ MALFORMED = [
     _case("constraint.box.upper", constraint="{box: {upper: high}}"),
     _case("constraint", constraint="[1]"),
     _case("constraint.fraction", constraint="{fraction: true}"),
+    pytest.param({"constraint": "{fraction: null}"}, "constraint.fraction", None,
+                 id="constraint.fraction+null-without-epsilon"),
     _case("run.alphas[0]", run="{alphas: [1.5]}"),
+    pytest.param({"run": "{alphas: [0.0], algorithms: [moving_targets]}"}, "run.alphas[0]",
+                 None, id="run.alphas[0]+moving_targets"),
     _case("run.alphas[1]", run="{alphas: [0.5, x]}"),
     _case("run.alphas", run="{alphas: []}"),
     _case("run.alphas", run="{beta: 0.1}"),
@@ -102,15 +109,19 @@ MALFORMED = [
     _case("run.learner", "extra", run="{alphas: [0.5], learner: {kind: gbt, extra: 1}}"),
     _case("solver", "extra", solver="{extra: 1}"),
     _case("output", "extra", output="{extra: 1}"),
+    pytest.param(None, "config", None, id="config+directory"),
 ]
 
 
 @pytest.mark.parametrize("blocks, field, unknown", MALFORMED)
 def test_malformed_config_exit_2_names_field(tmp_path, csv_50, capsys, blocks, field, unknown):
-    doc = {"dataset": f"{{path: {csv_50}, target: grade, protected: [sex]}}",
-           "run": "{alphas: [0.5], learner: {kind: ridge}}", **blocks}
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("".join(f"{key}: {value}\n" for key, value in doc.items()))
+    if blocks is None:  # a directory given as the config file
+        cfg.mkdir()
+    else:
+        doc = {"dataset": f"{{path: {csv_50}, target: grade, protected: [sex]}}",
+               "run": "{alphas: [0.5], learner: {kind: ridge}}", **blocks}
+        cfg.write_text("".join(f"{key}: {value}\n" for key, value in doc.items()))
     assert main(["validate-config", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") or err.startswith(f"config error: {field}[")
@@ -276,7 +287,7 @@ def test_plotdata_single_fold_zero_std(tmp_path, csv_50):
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
     fold = prepare_folds(cfg_obj)[0]
-    history = _run_one(cfg_obj, "affine_extension", 0.5, fold)
+    history = _run_task((cfg_obj, "affine_extension", 0.5, fold))
     single = tmp_path / "single.jsonl"
     write_history_file(single, cfg_obj, "affine_extension", 0.5, [history])
     _, folds = load_history_file(single)
@@ -357,6 +368,34 @@ output: {{directory: {tmp_path / "out_full"}}}
     assert (tmp_path / "out_full" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("data", ["school", "csv_50"])
+def test_full_normalization_folds_match_row_subsets(tmp_path, csv_50, data):
+    # one loop prepares both modes' folds; in `full` mode each fold must be the
+    # rows of the dataset normalized as a whole, regrouped, bit for bit
+    path = REPO / "configs" / "school.yaml" if data == "school" \
+        else write_config(tmp_path, csv_50, folds=3)
+    cfg = load_config(path)
+    cfg = replace(cfg, run=replace(cfg.run, normalization="full"))
+    roles = ColumnRoles(target=cfg.dataset.target, categorical=cfg.dataset.categorical,
+                        protected=cfg.dataset.protected)
+    table = ordinal_encode(load_csv(resolved_dataset_path(cfg), roles), cfg.dataset.categorical)
+    full = normalize(table, cfg.dataset.target)
+    full = full.with_protected([full.feature_names.index(c) for c in cfg.dataset.protected])
+    want = full_normalization_folds(full, fold_indices(table.n, cfg.run.folds, cfg.run.seed))
+    got = prepare_folds(cfg)
+    assert len(got) == len(want) == cfg.run.folds
+    for fold, pair in zip(got, want):
+        for ds, ref in zip((fold.train, fold.test), pair):
+            assert ds.x.tobytes() == ref.x.tobytes() and ds.y.tobytes() == ref.y.tobytes()
+            assert (ds.feature_names, ds.feature_ranges, ds.target_name, ds.target_range) \
+                == (ref.feature_names, ref.feature_ranges, ref.target_name, ref.target_range)
+            for spec, ref_spec in zip(ds.protected, ref.protected, strict=True):
+                assert spec.feature_index == ref_spec.feature_index
+                assert spec.groups.keys() == ref_spec.groups.keys()
+                assert all(spec.groups[v].tobytes() == ref_spec.groups[v].tobytes()
+                           for v in spec.groups)
+
+
 def test_absolute_epsilon_constraint(tmp_path, csv_50):
     cfg = tmp_path / "eps.yaml"
     cfg.write_text(f"""
@@ -385,7 +424,7 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
     cfg_obj = load_config(cfg)
     from confit.driver import IterationHistory
     folds = prepare_folds(cfg_obj)
-    histories = [_run_one(cfg_obj, "affine_extension", 0.5, f) for f in folds]
+    histories = [_run_task((cfg_obj, "affine_extension", 0.5, f)) for f in folds]
     shifted = []
     for h in histories:
         records = h.to_records()
@@ -560,7 +599,7 @@ def assert_same_fields(a, b, where="history"):
 
 def test_history_formats_1_2_and_3_load_equal(tmp_path, csv_50, capsys, monkeypatch):
     cfg = load_config(write_config(tmp_path, csv_50, iterations=5))
-    histories = [_run_one(cfg, "affine_extension", 0.5, fold) for fold in prepare_folds(cfg)]
+    histories = [_run_task((cfg, "affine_extension", 0.5, fold)) for fold in prepare_folds(cfg)]
     histories[0].records[1].z[:3] = [np.nan, -0.0, np.inf]  # bits JSON text must keep too
     paths = [tmp_path / f"format{k}.jsonl" for k in (1, 2, 3)]
     write_history_format_1(paths[0], cfg, "affine_extension", 0.5, histories)

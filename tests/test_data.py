@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from confit.data import (ColumnRoles, Dataset, RawTable, apply_normalization,
-                         build_protected, fold_indices, kfold_split, load_csv,
+                         build_protected, fold_indices, load_csv,
                          normalize, ordinal_encode, shuffled_indices)
 from confit.errors import DataError
 
@@ -165,19 +165,11 @@ def test_protected_groups_partition_rows():
     assert all(spec.groups[v].size > 0 for v in spec.group_values())
 
 
-def make_dataset(n, d=3, seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0, 1, (n, d))
-    y = rng.uniform(0, 1, n)
-    return Dataset(x, y, [f"f{j}" for j in range(d)], [(0.0, 1.0)] * d, "t", (0.0, 1.0))
-
-
 def test_kfold_even_split_sizes():
-    ds = make_dataset(10)
-    folds = kfold_split(ds, 5, seed=1)
+    folds = fold_indices(10, 5, seed=1)
     assert len(folds) == 5
-    assert all(test.n == 2 for _, test in folds)
-    assert all(train.n == 8 for train, _ in folds)
+    assert all(test.size == 2 for test in folds)
+    assert all(np.setdiff1d(np.arange(10), test).size == 8 for test in folds)
 
 
 def test_kfold_remainder_rule():
@@ -215,10 +207,9 @@ def test_shuffled_indices_deterministic_permutation():
 
 def test_select_regroups_protected():
     t = RawTable(["p", "target"], [[0, 0.1], [1, 0.2], [0, 0.3], [1, 0.4], [0, 0.5]])
-    ds = normalize(t, "target").with_protected([0])
-    sub = ds.select([0, 1, 4])
+    sub = normalize(t.select_rows([0, 1, 2, 4]), "target").with_protected([0])
     (spec,) = sub.protected
-    assert np.array_equal(spec.groups[0], [0, 2])
+    assert np.array_equal(spec.groups[0], [0, 2, 3])
     assert np.array_equal(spec.groups[1], [1])
 
 

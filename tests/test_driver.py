@@ -8,8 +8,7 @@ from confit.constraints import (build_box, build_didi_constraints, didi_epsilon,
                                 from_inequalities, intersect, is_member)
 from confit.data import Dataset, ProtectedSpec
 from confit.driver import (IterationHistory, RunConfig, alpha_convert,
-                           check_contraction_condition, run,
-                           run_affine_extension, run_moving_targets)
+                           check_contraction_condition, run)
 from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE
 from confit.solver import ProjectionProblem, SolverOptions, project
@@ -71,7 +70,7 @@ def test_branch_matches_membership():
     cs = tight_polytope(rng, 10)
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=12,
                        loss=MSE, learner=RIDGE0)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     assert history.records, "no iterations recorded"
     for rec in history.records:
         assert rec.branch == ("feasible" if is_member(cs, rec.yhat, 1e-6) else "infeasible")
@@ -84,7 +83,7 @@ def test_beta_zero_feasible_start_is_fixed_point():
     cs = build_box(-10.0, 10.0, 10)
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.0, iterations=5,
                        loss=MSE, learner=RIDGE0)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     first = history.records[0]
     assert first.branch == "feasible"
     assert np.array_equal(first.z, first.yhat)
@@ -98,7 +97,7 @@ def test_alpha_zero_projects_ideal_target_every_iteration():
     cs = tight_polytope(rng, 10)
     config = RunConfig(alpha=0.0, constraints=cs, beta=0.05, iterations=8,
                        loss=MSE, learner=RIDGE0, solver=TIGHT)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     zs = [r.z for r in history.records if r.branch == "infeasible"]
     assert len(zs) >= 2
     want = project(ProjectionProblem(MSE, ds.y, cs), TIGHT).solution
@@ -112,8 +111,8 @@ def test_two_algorithms_equivalent_under_mse():
     cs = tight_polytope(rng, 10)
     common = dict(constraints=cs, beta=0.05, iterations=10, loss=MSE,
                   learner=RIDGE0, solver=TIGHT)
-    ha = run_affine_extension(RunConfig(alpha=0.5, algorithm="affine_extension", **common), ds, ds)
-    hm = run_moving_targets(RunConfig(alpha=0.5, algorithm="moving_targets", **common), ds, ds)
+    ha = run(RunConfig(alpha=0.5, algorithm="affine_extension", **common), ds, ds)
+    hm = run(RunConfig(alpha=0.5, algorithm="moving_targets", **common), ds, ds)
     assert len(ha.records) == len(hm.records)
     for ra, rm in zip(ha.records, hm.records):
         assert np.max(np.abs(ra.z - rm.z)) < 1e-6
@@ -130,8 +129,8 @@ def test_mae_algorithms_differ():
                                      np.array([0.55, -0.45]), 2))
     common = dict(constraints=cs, beta=0.02, iterations=6, loss=MAE,
                   learner=LearnerSpec("ridge", ridge_lambda=0.05), solver=TIGHT)
-    ha = run_affine_extension(RunConfig(alpha=0.5, algorithm="affine_extension", **common), ds, ds)
-    hm = run_moving_targets(RunConfig(alpha=0.5, algorithm="moving_targets", **common), ds, ds)
+    ha = run(RunConfig(alpha=0.5, algorithm="affine_extension", **common), ds, ds)
+    hm = run(RunConfig(alpha=0.5, algorithm="moving_targets", **common), ds, ds)
     gaps = [np.max(np.abs(ra.z - rm.z)) for ra, rm in zip(ha.records, hm.records)]
     assert max(gaps) > 1e-3
 
@@ -143,7 +142,7 @@ def test_contraction_ridge_mse():
     config = RunConfig(alpha=0.9, constraints=cs, beta=0.0, iterations=200,
                        loss=MSE, learner=RIDGE0, solver=SolverOptions(1e-12, 400000),
                        early_stop=True, stop_tol=1e-8)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     residuals = history.series("residual")
     assert residuals[-1] < 1e-7
     ratios = residuals[1:] / residuals[:-1]
@@ -152,19 +151,15 @@ def test_contraction_ridge_mse():
     assert history.stopped_early
 
 
-def test_constraints_source_callable():
+def test_didi_constraints_bring_the_train_ratio_down():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, (12, 2))
     y = np.clip(rng.uniform(0, 1, 12) + np.where(np.arange(12) < 6, 0.3, -0.3), 0, 1)
     protected = (ProtectedSpec(0, {0: np.arange(6), 1: np.arange(6, 12)}),)
     ds = Dataset(x, y, ["a", "b"], [(0.0, 1.0)] * 2, "t", (0.0, 1.0), protected=protected)
-
-    def source(train):
-        eps = didi_epsilon(train.y, train.protected, 0.2)
-        return intersect(build_didi_constraints(train.protected, eps, train.n),
-                         build_box(0.0, 1.0, train.n))
-
-    config = RunConfig(alpha=0.5, constraints=source, beta=0.05, iterations=8,
+    cs = intersect(build_didi_constraints(protected, didi_epsilon(y, protected, 0.2), 12),
+                   build_box(0.0, 1.0, 12))
+    config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=8,
                        loss=MSE, learner=LearnerSpec("gbt", n_trees=10, max_depth=2))
     history = run(config, ds, ds)
     assert np.isfinite(history.series("c_train")).all()
@@ -178,8 +173,8 @@ def test_history_deterministic():
     cs = tight_polytope(rng, 10)
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=8,
                        loss=MSE, learner=RIDGE0)
-    a = run_affine_extension(config, ds, ds)
-    b = run_affine_extension(config, ds, ds)
+    a = run(config, ds, ds)
+    b = run(config, ds, ds)
     assert a.to_records() == b.to_records()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(a.vectors(), b.vectors(),
                                                           strict=True))
@@ -191,7 +186,7 @@ def test_history_round_trip():
     cs = tight_polytope(rng, 10)
     config = RunConfig(alpha=0.1, constraints=cs, beta=0.05, iterations=6,
                        loss=LossSpec("huber", 0.1), learner=RIDGE0)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     records = history.to_records()
     back = IterationHistory.from_records(records, vectors=history.vectors())
     assert back.to_records() == records
@@ -204,7 +199,7 @@ def test_series_lengths_and_norm():
     cs = tight_polytope(rng, 10)
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=7, loss=MAE,
                        learner=RIDGE0)
-    h = run_affine_extension(config, ds, ds)
+    h = run(config, ds, ds)
     assert h.norm == "l1"
     assert len(h.records) == 6  # iterations - 1 adjustment steps
     assert h.series("r2_train").shape == (7,)
@@ -220,11 +215,9 @@ def test_run_config_validation():
         RunConfig(alpha=0.5, constraints=cs, beta=-0.1)
     with pytest.raises(ValueError):
         RunConfig(alpha=0.5, constraints=cs, algorithm="teleport")
-    with pytest.raises(ValueError):
-        rng = np.random.default_rng(0)
-        ds = make_dataset(rng, n=4)
-        run_moving_targets(RunConfig(alpha=0.0, constraints=cs, algorithm="moving_targets"),
-                           ds, ds)
+    with pytest.raises(ValueError, match="moving_targets needs alpha in"):
+        RunConfig(alpha=0.0, constraints=cs, algorithm="moving_targets")
+    RunConfig(alpha=0.0, constraints=cs, algorithm="affine_extension")
 
 
 def test_unconverged_solve_logs_one_warning(caplog):
@@ -234,7 +227,7 @@ def test_unconverged_solve_logs_one_warning(caplog):
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=6, loss=MAE,
                        learner=RIDGE0, solver=SolverOptions(tolerance=1e-12, max_iterations=1))
     with caplog.at_level(logging.WARNING, logger="confit"):
-        history = run_affine_extension(config, ds, ds)
+        history = run(config, ds, ds)
     unconverged = [r for r in history.records if not r.solver_converged and not r.fallback]
     assert unconverged
     warnings = [r for r in caplog.records if r.name == "confit"]
@@ -247,7 +240,7 @@ def test_unconverged_solve_logs_one_warning(caplog):
         assert f"dual residual {rec.solver_dual:.3g}" in message
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="confit"):
-        run_affine_extension(replace(config, solver=TIGHT), ds, ds)
+        run(replace(config, solver=TIGHT), ds, ds)
     assert not caplog.records
 
 
@@ -258,7 +251,7 @@ def test_default_solver_converges_on_every_mae_blend_solve(caplog):
     config = RunConfig(alpha=0.9, constraints=cs, beta=0.05, loss=MAE,
                        algorithm="moving_targets")
     with caplog.at_level(logging.WARNING, logger="confit"):
-        history = run_moving_targets(config, ds, ds)
+        history = run(config, ds, ds)
     blend = [r for r in history.records if r.solver_method == "pdhg-blend"]
     assert len(blend) == 28
     assert all(r.solver_converged for r in blend)
@@ -281,7 +274,7 @@ def test_settled_feasible_steps_end_after_one_pdhg_step():
                    build_box(0.0, 1.0, n))
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=30, loss=MSE,
                        learner=RIDGE0)
-    history = run_affine_extension(config, ds, ds)
+    history = run(config, ds, ds)
     assert len(history.records) == 29
     feasible = [r for r in history.records if r.branch == "feasible"]
     assert len(feasible) >= 25

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confit.learners import (FittedModel, LearnerSpec, _leaf_value, fit, predict,
-                             range_projection_fit, training_curve)
+from confit.learners import FittedModel, LearnerSpec, _leaf_value, fit, predict
 from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
-from oracles import best_stump_brute, hat_matrix, huber_location_bisection, sorted_scan_tree
+from oracles import (best_stump_brute, hat_matrix, huber_location_bisection, sorted_scan_tree,
+                     training_curve)
 
 HUBER = LossSpec("huber")
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
@@ -114,14 +114,6 @@ def test_ridge_positive_lambda_nonexpansive_in_l2():
         assert np.linalg.norm(p1 - p2) <= np.linalg.norm(z1 - z2) + 1e-9
 
 
-def test_range_projection_fit_is_alias():
-    rng = np.random.default_rng(6)
-    x, y, _ = linear_data(rng)
-    a = fit(RIDGE0, x, y, MSE)
-    b = range_projection_fit(RIDGE0, x, y, MSE)
-    assert np.array_equal(a.train_prediction, b.train_prediction)
-
-
 def test_gbt_stump_matches_threshold_enumeration():
     # depth-1, rate-1 tree on a one-feature dataset equals the best brute-force
     # split; training mse equals the within-group variance average
@@ -164,7 +156,8 @@ def test_gbt_training_loss_non_increasing(loss):
     rng = np.random.default_rng(10)
     x = rng.uniform(0, 1, (80, 4))
     y = np.clip(x @ np.array([0.5, -0.2, 0.3, 0.1]) + 0.2 + 0.05 * rng.standard_normal(80), 0, 1)
-    curve = training_curve(LearnerSpec("gbt", n_trees=40, max_depth=2), x, y, loss)
+    model = fit(LearnerSpec("gbt", n_trees=40, max_depth=2), x, y, loss)
+    curve = training_curve(model, x, lambda p: loss_value(loss, p, y))
     assert np.all(np.diff(curve) <= 1e-12)
 
 
@@ -206,7 +199,7 @@ def test_gbt_huber_training_loss_never_increases(seed, m, rate):
     y = rng.uniform(0, 1, 60) + (rng.uniform(0, 1, 60) < 0.1) * 3.0  # a few outliers
     loss = LossSpec("huber", huber_m=m)
     spec = LearnerSpec("gbt", n_trees=15, max_depth=3, learning_rate=rate, min_samples_leaf=2)
-    curve = training_curve(spec, x, y, loss)
+    curve = training_curve(fit(spec, x, y, loss), x, lambda p: loss_value(loss, p, y))
     start = loss_value(loss, np.full(60, y.mean()), y)
     assert np.all(np.diff(np.concatenate([[start], curve])) <= 1e-12)
 

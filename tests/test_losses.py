@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confit.losses import (LossSpec, MSE, MAE, loss_value, pointwise, prox,
                            prox_pair, project_ball, loss_norm)
@@ -128,24 +128,30 @@ def test_prox_pair_matches_golden_section_oracle(spec):
         assert got == pytest.approx(want, abs=1e-7)
 
 
-@st.composite
-def huber_pairs(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 40))
-    m = draw(st.sampled_from([0.01, 0.1, 1.0]))
-    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0]))
+def huber_pair(seed, n, m, scale, tie, t, w2):
+    rng = np.random.default_rng(seed)
     v, a1, a2 = scale * rng.standard_normal((3, n))
-    tie = draw(st.sampled_from([None, "equal", "2m apart"]))  # kinks that meet
     if tie is not None:
         a2 = a1 + (0.0 if tie == "equal" else 2.0 * m)
-    t = draw(st.sampled_from([1e-3, 0.3, 5.0, "per-coordinate"]))
     if t == "per-coordinate":
         t = rng.uniform(1e-3, 5.0, n)
-    return t, v, a1, a2, draw(st.sampled_from([0.0, 0.1, 1.0, 9.0])), m
+    return t, v, a1, a2, w2, m
+
+
+@st.composite
+def huber_pairs(draw):
+    return huber_pair(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 40)),
+                      draw(st.sampled_from([0.01, 0.1, 1.0])),
+                      draw(st.sampled_from([1e-3, 0.1, 1.0, 30.0])),
+                      draw(st.sampled_from([None, "equal", "2m apart"])),  # kinks that meet
+                      draw(st.sampled_from([1e-3, 0.3, 5.0, "per-coordinate"])),
+                      draw(st.sampled_from([0.0, 0.1, 1.0, 9.0])))
 
 
 @settings(max_examples=300, deadline=None)
 @given(huber_pairs())
+# values far below m: interpolating between knots m apart was off by 3.2 times the slack
+@example(huber_pair(44, 15, 1.0, 1e-3, "equal", 1e-3, 0.0))
 def test_huber_pair_prox_matches_bisection_oracle(pair):
     t, v, a1, a2, w2, m = pair
     got = prox_pair(LossSpec("huber", huber_m=m), t, v, a1, a2, w2)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from confit.data import ProtectedSpec
+from confit.data import Dataset, ProtectedSpec
 from confit.constraints import didi_value
-from confit.metrics import didi_ratio, r_squared, significance_flag, summarize_folds
+from confit.driver import _Metrics
+from confit.metrics import r_squared, significance_flag, summarize_folds
 from oracles import mean_std_two_pass
 
 
@@ -34,21 +37,22 @@ def test_r2_constant_target_errors():
 
 
 def test_didi_ratio_basics():
+    # the ratio the driver reports: a prediction's index over the training target's
     protected = (ProtectedSpec(0, {0: np.array([0, 1]), 1: np.array([2, 3])}),)
     y_train = np.array([0.9, 0.8, 0.1, 0.2])
-    denom = didi_value(y_train, protected)
-    assert didi_ratio(np.full(4, 0.4), protected, denom) == 0.0
-    assert didi_ratio(y_train, protected, denom) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="vacuous"):
-        didi_ratio(y_train, protected, 0.0)
+    ds = Dataset(np.zeros((4, 1)), y_train, ["g"], [(0.0, 1.0)], "t", (0.0, 1.0), protected)
+    gauges = _Metrics(ds, ds)
+    assert gauges.ratios(np.full(4, 0.4), y_train) == (0.0, pytest.approx(1.0))
+    flat = replace(ds, y=np.full(4, 0.5))  # a zero training index: the ratio is undefined
+    assert all(np.isnan(_Metrics(flat, flat).ratios(y_train, y_train)))
 
 
 def test_didi_ratio_scale_invariance():
     protected = (ProtectedSpec(0, {0: np.array([0, 1]), 1: np.array([2, 3])}),)
     z = np.array([0.9, 0.6, 0.1, 0.3])
     denom = 0.25
-    assert didi_ratio(3.0 * z, protected, 3.0 * denom) == pytest.approx(
-        didi_ratio(z, protected, denom), rel=1e-12)
+    assert didi_value(3.0 * z, protected) / (3.0 * denom) == pytest.approx(
+        didi_value(z, protected) / denom, rel=1e-12)
 
 
 class _StubHistory:
