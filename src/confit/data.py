@@ -55,10 +55,6 @@ class RawTable:
             raise DataError(f"column index {idx} out of range for {self.d} columns")
         return idx
 
-    def column(self, name_or_index) -> list:
-        j = self.column_index(name_or_index)
-        return [row[j] for row in self.rows]
-
     def select_rows(self, indices) -> "RawTable":
         rows = [self.rows[i] for i in indices]
         return RawTable(list(self.columns), rows, 0, dict(self.encodings))
@@ -182,52 +178,59 @@ def ordinal_encode(table: RawTable, categorical_columns) -> RawTable:
     return RawTable(list(table.columns), rows, table.dropped_rows, encodings)
 
 
-def _to_float(cell, column: str, rownum: int) -> float:
-    if isinstance(cell, (int, float)):
-        return float(cell)
-    try:
-        return float(cell)
-    except (TypeError, ValueError):
-        raise DataError(
-            f"non-numeric cell {cell!r} in column {column!r}, row {rownum}"
-        ) from None
-
-
 def _float_grid(table: RawTable) -> np.ndarray:
-    grid = np.empty((table.n, table.d), dtype=float)
-    for i, row in enumerate(table.rows):
-        for j, cell in enumerate(row):
-            grid[i, j] = _to_float(cell, table.columns[j], i + 1)
-    return grid
+    """The table's cells as an (n, d) float grid, parsed as Python's `float`
+    parses them. A ragged row, or a cell that is not a finite number, raises
+    DataError naming the first one."""
+    try:
+        grid = np.array(table.rows, dtype=float)
+        if grid.shape == (table.n, table.d) and np.isfinite(grid).all():
+            return grid
+    except (TypeError, ValueError):
+        pass
+    for i, row in enumerate(table.rows, start=1):
+        if len(row) != table.d:
+            raise DataError(f"row {i} has {len(row)} cells but the table has {table.d} columns")
+        for column, cell in zip(table.columns, row):
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"non-numeric cell {cell!r} in column {column!r}, row {i}") from None
+            if not np.isfinite(value):
+                raise DataError(f"non-finite cell {cell!r} in column {column!r}, row {i}")
+    raise DataError(f"cannot read a {table.n} x {table.d} table of numbers")
 
 
-def _normalize_column(values: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        return np.zeros_like(values), (lo, hi)
-    return (values - lo) / (hi - lo), (lo, hi)
+def _scaled(table: RawTable, target_column, grid: np.ndarray, lo, hi) -> Dataset:
+    """Map each column of `grid` affinely onto [0,1] by its range [lo, hi],
+    clipping values outside it and mapping a constant range to 0.0, and split
+    off the target column. For a grid's own ranges the clip changes no bit."""
+    tgt = table.column_index(target_column)
+    with np.errstate(over="ignore"):  # a cell far outside a reference range clips
+        span = hi - lo
+        wide = np.flatnonzero(np.isinf(span))
+        if wide.size:
+            raise DataError(f"column {table.columns[wide[0]]!r} spans more than the float range")
+        constant = span == 0
+        unit = np.clip((grid - lo) / np.where(constant, 1.0, span), 0.0, 1.0)
+    unit[:, constant] = 0.0
+    names, ranges = list(table.columns), list(zip(lo.tolist(), hi.tolist()))
+    return Dataset(
+        x=np.delete(unit, tgt, axis=1),
+        y=unit[:, tgt].copy(),
+        feature_names=names[:tgt] + names[tgt + 1:],
+        feature_ranges=ranges[:tgt] + ranges[tgt + 1:],
+        target_name=names[tgt],
+        target_range=ranges[tgt],
+    )
 
 
 def normalize(table: RawTable, target_column) -> Dataset:
     """Map every column affinely onto [0,1] (constant columns to 0.0) and split
     off the target, keeping the (min, max) pairs for the inverse transform."""
-    tgt = table.column_index(target_column)
     grid = _float_grid(table)
-    feature_cols = [j for j in range(table.d) if j != tgt]
-    x = np.empty((table.n, len(feature_cols)))
-    ranges = []
-    for out_j, j in enumerate(feature_cols):
-        x[:, out_j], rng = _normalize_column(grid[:, j])
-        ranges.append(rng)
-    y, y_range = _normalize_column(grid[:, tgt])
-    return Dataset(
-        x=x,
-        y=y,
-        feature_names=[table.columns[j] for j in feature_cols],
-        feature_ranges=ranges,
-        target_name=table.columns[tgt],
-        target_range=y_range,
-    )
+    return _scaled(table, target_column, grid, grid.min(axis=0), grid.max(axis=0))
 
 
 def apply_normalization(table: RawTable, target_column, reference: Dataset) -> Dataset:
@@ -238,31 +241,12 @@ def apply_normalization(table: RawTable, target_column, reference: Dataset) -> D
         raise DataError(
             f"target column {table.columns[tgt]!r} does not match reference {reference.target_name!r}"
         )
-    feature_cols = [j for j in range(table.d) if j != tgt]
-    names = [table.columns[j] for j in feature_cols]
-    if names != reference.feature_names:
+    if [c for j, c in enumerate(table.columns) if j != tgt] != reference.feature_names:
         raise DataError("feature columns do not match the reference dataset")
-    grid = _float_grid(table)
-
-    def apply_range(values, rng):
-        lo, hi = rng
-        if hi == lo:
-            return np.zeros_like(values)
-        return np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-
-    x = np.column_stack([
-        apply_range(grid[:, j], reference.feature_ranges[out_j])
-        for out_j, j in enumerate(feature_cols)
-    ])
-    y = apply_range(grid[:, tgt], reference.target_range)
-    return Dataset(
-        x=x,
-        y=y,
-        feature_names=list(reference.feature_names),
-        feature_ranges=list(reference.feature_ranges),
-        target_name=reference.target_name,
-        target_range=reference.target_range,
-    )
+    ranges = list(reference.feature_ranges)
+    ranges.insert(tgt, reference.target_range)
+    lo, hi = np.array(ranges, dtype=float).T
+    return _scaled(table, tgt, _float_grid(table), lo, hi)
 
 
 def _group_rows(raw_values: np.ndarray) -> dict[int, np.ndarray]:

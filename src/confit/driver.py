@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, get_type_hints
 
@@ -100,6 +100,20 @@ def check_contraction_condition(loss: LossSpec, alpha: float) -> ContractionVerd
                               "no Lipschitz constant is established for the huber projection")
 
 
+def run_verdict(learner: LearnerSpec, loss: LossSpec, alpha: float) -> ContractionVerdict:
+    """The verdict a run records. The contraction result of the source paper
+    (arXiv:2201.06529) composes the constraint-enforcement step, whose
+    Lipschitz constant `check_contraction_condition` certifies, with a learning
+    step it assumes nonexpansive. Ridge is, at any ridge_lambda >= 0: its fit
+    maps the target through a symmetric hat matrix with eigenvalues in [0, 1].
+    Boosted trees are not known to be, so a gbt run is not guaranteed."""
+    verdict = check_contraction_condition(loss, alpha)
+    if learner.kind == "ridge":
+        return verdict
+    return replace(verdict, verdict="not-guaranteed",
+                   note=f"the {learner.kind} learner is not known to be nonexpansive")
+
+
 def alpha_convert(alpha_a: float) -> float:
     """Map the blend parameter to the equivalent combined-objective weight via
     alpha_a * (alpha_m + 1) = 1.
@@ -173,9 +187,6 @@ class IterationHistory:
             return np.array([r.contraction for r in self.records])
         first = getattr(self.initial, name)
         return np.array([first] + [getattr(r, name) for r in self.records])
-
-    def final_prediction(self) -> np.ndarray:
-        return self.records[-1].yhat_next if self.records else self.initial.yhat
 
     def to_records(self) -> list[dict]:
         """The history as format-3 records: one meta record, one initial record,
@@ -333,7 +344,7 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
         algorithm=config.algorithm, alpha=config.alpha, beta=config.beta,
         iterations=config.iterations, loss=loss, learner=config.learner,
         seed=config.seed, norm="l1" if loss.kind == "mae" else "l2",
-        verdict=check_contraction_condition(loss, config.alpha),
+        verdict=run_verdict(config.learner, loss, config.alpha),
         initial=InitialRecord(
             r2_train=_safe_r2(train.y, yhat), r2_test=_safe_r2(test.y, yhat_test),
             c_train=c_train, c_test=c_test, yhat=yhat),
@@ -355,20 +366,17 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
             warm_master = report.state
         else:
             branch = "feasible"
-            if config.beta == 0.0:
-                report = SolverReport(yhat.copy(), 0.0, 0.0, 0, True, "degenerate-ball")
-            else:
-                report = project_ball_intersection(
-                    loss, train.y, yhat, config.beta, cs, config.solver, warm_ball)
-                warm_ball = report.state
-                if not report.converged or not is_member(cs, report.solution,
-                                                         10 * DEFAULT_MEMBER_TOL):
-                    # numerically empty ball/set intersection: the center is the
-                    # one point known feasible
-                    report = SolverReport(yhat.copy(), report.primal_residual,
-                                          report.dual_residual, report.iterations,
-                                          False, report.method)
-                    fallback = True
+            report = project_ball_intersection(
+                loss, train.y, yhat, config.beta, cs, config.solver, warm_ball)
+            warm_ball = report.state
+            if not report.converged or not is_member(cs, report.solution,
+                                                     10 * DEFAULT_MEMBER_TOL):
+                # numerically empty ball/set intersection: the center is the
+                # one point known feasible
+                report = SolverReport(yhat.copy(), report.primal_residual,
+                                      report.dual_residual, report.iterations,
+                                      False, report.method)
+                fallback = True
         if not report.converged and not fallback:
             log.warning("iteration %d: the %s solve stopped unconverged after %d iterations "
                         "(primal residual %.3g, dual residual %.3g); the refit uses its "

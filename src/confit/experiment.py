@@ -62,7 +62,9 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
         log.info("dropped %d rows with missing values", table.dropped_rows)
     table = ordinal_encode(table, [c for c in cfg.dataset.categorical])
     target = cfg.dataset.target
-    full = normalize(table, target) if cfg.run.normalization == "full" else None
+    # in both modes, so that a bad cell is named by its row in the whole table
+    full = normalize(table, target)
+    by_fold = cfg.run.normalization == "train"
 
     def attach_protected(ds: Dataset) -> Dataset:
         return ds.with_protected([ds.feature_names.index(name)
@@ -72,9 +74,9 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
     out = []
     for j, test_rows in enumerate(fold_indices(table.n, cfg.run.folds, cfg.run.seed)):
         rows = table.select_rows(np.setdiff1d(all_rows, test_rows))
-        train = normalize(rows, target) if full is None else apply_normalization(rows, target, full)
+        train = normalize(rows, target) if by_fold else apply_normalization(rows, target, full)
         test = apply_normalization(table.select_rows(test_rows), target,
-                                   train if full is None else full)
+                                   train if by_fold else full)
         out.append(FoldData(j, attach_protected(train), attach_protected(test)))
     return out
 

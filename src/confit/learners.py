@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
 from .losses import LossSpec, gradient, loss_value
 
 LEARNER_KINDS = ("ridge", "gbt")
@@ -121,9 +122,8 @@ def _fit_ridge(spec: LearnerSpec, x, target, loss, reuse: dict) -> FittedModel:
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            raise ValueError(
-                "singular normal equations; set ridge_lambda > 0 or drop collinear features"
-            ) from None
+            raise DataError("singular normal equations; set run.learner.ridge_lambda "
+                            "> 0 or drop collinear features") from None
         reuse[key] = g, chol
     g, chol = reuse[key]
     rhs = g.T @ target

@@ -593,6 +593,38 @@ def sorted_scan_tree(x, grad_target, residual, leaf_value, max_depth, min_leaf):
     return build(np.arange(n), 0)
 
 
+def per_column_normalization(columns, rows, target, reference=None):
+    """[0,1] scaling one column at a time, each cell through `float`: by the
+    column's own (min, max), or, given `reference` (the (min, max) of every
+    column in table order), by those ranges and clipped into [0, 1]. A
+    constant range maps to 0.0. Returns x, y, the feature ranges and the
+    target range."""
+    grid = np.empty((len(rows), len(columns)))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            grid[i, j] = float(cell)
+    scaled, ranges = [], []
+    for j in range(len(columns)):
+        values = grid[:, j]
+        if reference is None:
+            lo, hi = float(values.min()), float(values.max())
+        else:
+            lo, hi = reference[j]
+        if hi == lo:
+            scaled.append(np.zeros_like(values))
+        elif reference is None:
+            scaled.append((values - lo) / (hi - lo))
+        else:
+            scaled.append(np.clip((values - lo) / (hi - lo), 0.0, 1.0))
+        ranges.append((lo, hi))
+    tgt = columns.index(target)
+    features = [j for j in range(len(columns)) if j != tgt]
+    x = np.empty((len(rows), len(features)))
+    for out_j, j in enumerate(features):
+        x[:, out_j] = scaled[j]
+    return x, scaled[tgt], [ranges[j] for j in features], ranges[tgt]
+
+
 def full_normalization_folds(full, folds):
     """(train, test) row subsets of the dataset `full`, normalized over every
     row, for each test fold in `folds`: each subset keeps the rows' values

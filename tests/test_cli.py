@@ -215,6 +215,37 @@ def test_missing_dataset_exit_2_names_path(tmp_path, capsys):
     assert "nowhere.csv" in capsys.readouterr().err
 
 
+def _edited_csv(source, target, column, value, rows=(3,)):
+    """A copy of the CSV `source` with `value` in `column` of the listed
+    1-based data rows (all rows when `rows` is None)."""
+    lines = source.read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    for i in range(1, len(lines)) if rows is None else rows:
+        cells = lines[i].split(",")
+        cells[j] = value
+        lines[i] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+@pytest.mark.parametrize("column, value, rows, learner, message", [
+    ("absences", "inf", (3,), None, "non-finite cell 'inf' in column 'absences', row 3"),
+    ("absences", "-inf", (3,), None, "non-finite cell '-inf' in column 'absences', row 3"),
+    ("absences", "1e400", (3,), None, "non-finite cell '1e400' in column 'absences', row 3"),
+    ("absences", "many", (3,), None, "non-numeric cell 'many' in column 'absences', row 3"),
+    ("health", "3", None, "{kind: ridge}", "set run.learner.ridge_lambda > 0"),
+], ids=["inf", "-inf", "1e400", "text", "singular-ridge"])
+def test_bad_data_exit_1_with_one_line(tmp_path, csv_50, capsys, caplog, recwarn,
+                                       column, value, rows, learner, message):
+    data = _edited_csv(csv_50, tmp_path / "bad.csv", column, value, rows)
+    cfg = write_config(tmp_path, data, **({"learner": learner} if learner else {}))
+    assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "unhandled failure" not in caplog.text
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_run_smoke_under_ten_seconds(tmp_path, csv_50):
     cfg = write_config(tmp_path, csv_50)
     t0 = time.time()

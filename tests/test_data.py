@@ -1,10 +1,17 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confit.data import (ColumnRoles, Dataset, RawTable, apply_normalization,
                          build_protected, fold_indices, load_csv,
                          normalize, ordinal_encode, shuffled_indices)
 from confit.errors import DataError
+from oracles import per_column_normalization
+
+SCHOOL = Path(__file__).resolve().parents[1] / "data" / "school.csv"
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -225,3 +232,152 @@ def test_apply_normalization_uses_reference_ranges_and_clips(tmp_path):
 def test_dataset_rejects_out_of_range():
     with pytest.raises(DataError):
         Dataset(np.array([[1.5]]), np.array([0.5]), ["a"], [(0, 1)], "t", (0, 1))
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-Infinity", "+nan"])
+def test_non_finite_cell_names_column_and_row(cell):
+    t = RawTable(["a", "target"], [[1, "0"], ["2", "1"], [" 3", cell]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"non-finite cell .* column 'target', row 3"):
+            normalize(t, "target")
+        ref = normalize(RawTable(["a", "target"], [[1, 0], [2, 1]]), "target")
+        with pytest.raises(DataError, match=r"column 'target', row 3"):
+            apply_normalization(t, "target", ref)
+
+
+def test_nan_cell_is_missing_and_its_row_dropped(tmp_path):
+    t = load_csv(write(tmp_path, "a,b,target\n1,nan,3\n4,5,6\n7,8,NaN\n9,1,2\n"), ROLES)
+    assert t.n == 2 and t.dropped_rows == 2
+    assert normalize(t, "target").n == 2
+
+
+def test_ragged_rows_are_a_data_error():
+    with pytest.raises(DataError, match="row 2 has 1 cells but the table has 2 columns"):
+        normalize(RawTable(["a", "target"], [[1, 2], [3]]), "target")
+    with pytest.raises(DataError, match="cannot read a 0 x 2 table"):
+        normalize(RawTable(["a", "target"], []), "target")
+
+
+def test_range_beyond_the_float_range_is_a_data_error():
+    t = RawTable(["a", "target"], [["-1e308", 0], ["1e308", 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="column 'a' spans more than the float range"):
+            normalize(t, "target")
+        # far outside a finite reference range, a cell clips without a warning
+        ref = normalize(RawTable(["a", "target"], [["-1e308", 0], ["0", 1]]), "target")
+        ds = apply_normalization(RawTable(["a", "target"], [["1.7e308", 0]]), "target", ref)
+    assert ds.x[0, 0] == 1.0
+
+
+def assert_matches_oracle(ds, oracle):
+    x, y, feature_ranges, target_range = oracle
+    assert ds.x.shape == x.shape and ds.x.tobytes() == x.tobytes()
+    assert ds.y.shape == y.shape and ds.y.tobytes() == y.tobytes()
+    assert ds.feature_ranges == feature_ranges and ds.target_range == target_range
+    assert ds.x.flags.c_contiguous and ds.y.flags.c_contiguous
+
+
+def assert_both_match_oracle(table, target, cut):
+    """`normalize` on the whole table, and `apply_normalization` of the whole
+    table by the ranges of its first `cut` rows, which may be narrower than
+    the data's, against the per-column oracle, bit for bit."""
+    assert_matches_oracle(normalize(table, target),
+                          per_column_normalization(table.columns, table.rows, target))
+    head = table.select_rows(range(cut))
+    _, _, feature_ranges, target_range = per_column_normalization(
+        head.columns, head.rows, target)
+    tgt = table.columns.index(target)
+    reference = feature_ranges[:tgt] + [target_range] + feature_ranges[tgt:]
+    assert_matches_oracle(
+        apply_normalization(table, target, normalize(head, target)),
+        per_column_normalization(table.columns, table.rows, target, reference))
+
+
+def test_school_normalization_matches_per_column_oracle():
+    roles = ColumnRoles(target="grade", categorical=(
+        "school", "sex", "address", "higher", "famsup", "activities", "internet"))
+    table = ordinal_encode(load_csv(SCHOOL, roles), roles.categorical)
+    assert any(type(c) is int for c in table.rows[0]) and any(type(c) is str for c in table.rows[0])
+    assert_both_match_oracle(table, "grade", 100)
+
+
+_NUMBER_CELLS = st.one_of(st.integers(-5, 5), st.integers(-20, 20).map(str),
+                          st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+
+
+@st.composite
+def _numeric_tables(draw):
+    d, n = draw(st.integers(2, 4)), draw(st.integers(2, 12))
+    rows = [[draw(_NUMBER_CELLS) for _ in range(d)] for _ in range(n)]
+    for j in range(d):
+        if draw(st.booleans()):  # a constant column
+            for row in rows:
+                row[j] = rows[0][j]
+    columns = [f"c{j}" for j in range(d)]
+    return RawTable(columns, rows), draw(st.sampled_from(columns)), draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numeric_tables())
+def test_normalization_matches_per_column_oracle(case):
+    table, target, cut = case
+    assert_both_match_oracle(table, target, cut)
+
+
+_NUMERIC_CSV_CELLS = st.sampled_from(["0", "1", "2.5", "-3", " 4 ", "1e3", "1_0", "\u0661"])
+_BAD_CSV_CELLS = st.sampled_from(["x", "yes", "", "NA", "nan", "?", "null", "inf", "-inf",
+                                  "1e400", "1e308", "-1e308", "0x10", '"'])
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV lines and categorical columns: a header with a target and unique
+    names, or one flaw (a duplicate name, no target, an unknown categorical
+    column), then rows of numbers, most of the header's length and some
+    shorter or longer, with up to three cells replaced by text, blanks,
+    missing markers, non-finite or huge numbers or a quote."""
+    header = [*draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)),
+              "target"]
+    categorical = draw(st.lists(st.sampled_from(header), unique=True, max_size=1))
+    flawed = draw(st.booleans()) and draw(st.booleans())
+    flaw = draw(st.sampled_from(["duplicate", "no target", "unknown"])) if flawed else None
+    if flaw == "duplicate":
+        header.append(f" {header[0]}")  # names are stripped
+    elif flaw == "no target":
+        header[-1] = "d"
+    elif flaw == "unknown":
+        categorical.append("x")
+    width = st.one_of(st.just(len(header)), st.integers(0, len(header) + 1))
+    rows = draw(st.lists(width.flatmap(
+        lambda k: st.lists(_NUMERIC_CSV_CELLS, min_size=k, max_size=k)),
+        min_size=1, max_size=8))
+    for i, j, cell in draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 4),
+                                              _BAD_CSV_CELLS), max_size=3)):
+        row = rows[i % len(rows)]
+        if row:
+            row[j % len(row)] = cell
+    return [header, *rows], tuple(categorical)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files())
+def test_any_csv_gives_a_dataset_or_a_data_error(tmp_path_factory, case):
+    lines, categorical = case
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = load_csv(path, ColumnRoles(target="target", categorical=categorical))
+            table = ordinal_encode(table, categorical)
+            whole = normalize(table, "target")
+            half = apply_normalization(table, "target",
+                                       normalize(table.select_rows(range(table.n // 2 + 1)),
+                                                 "target"))
+        except DataError:
+            return
+    for ds in (whole, half):
+        assert isinstance(ds, Dataset) and ds.n == table.n
+        assert np.isfinite(ds.x).all() and 0 <= ds.x.min() and ds.x.max() <= 1

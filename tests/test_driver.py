@@ -8,7 +8,7 @@ from confit.constraints import (build_box, build_didi_constraints, didi_epsilon,
                                 from_inequalities, intersect, is_member)
 from confit.data import Dataset, ProtectedSpec
 from confit.driver import (IterationHistory, RunConfig, alpha_convert,
-                           check_contraction_condition, run)
+                           check_contraction_condition, run, run_verdict)
 from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE
 from confit.solver import ProjectionProblem, SolverOptions, project
@@ -51,6 +51,18 @@ def test_contraction_verdicts():
     assert v.verdict == "not-guaranteed" and v.lipschitz_constant is None
 
 
+@pytest.mark.parametrize("loss, alpha", [(MSE, 0.5), (MAE, 0.2), (MAE, 0.9)])
+def test_run_verdict_guarantees_ridge_runs_only(loss, alpha):
+    assert run_verdict(RIDGE0, loss, alpha) == check_contraction_condition(loss, alpha)
+    gbt = run_verdict(LearnerSpec("gbt"), loss, alpha)
+    assert gbt.verdict == "not-guaranteed" and "gbt learner" in gbt.note
+    rng = np.random.default_rng(4)
+    ds = make_dataset(rng, n=10)
+    config = RunConfig(alpha=alpha, constraints=build_box(0.0, 1.0, 10), iterations=2,
+                       loss=loss, learner=LearnerSpec("gbt", n_trees=2, min_samples_leaf=2))
+    assert run(config, ds, ds).verdict == gbt
+
+
 @pytest.mark.parametrize("algorithm", ["affine_extension", "moving_targets"])
 def test_each_prediction_is_held_once(algorithm):
     # a step's yhat is the previous step's yhat_next array, not a copy of it
@@ -86,7 +98,9 @@ def test_beta_zero_feasible_start_is_fixed_point():
     history = run(config, ds, ds)
     first = history.records[0]
     assert first.branch == "feasible"
-    assert np.array_equal(first.z, first.yhat)
+    assert (first.solver_method, first.solver_iterations, first.solver_converged,
+            first.fallback) == ("degenerate-ball", 0, True, False)
+    assert np.array_equal(first.z, first.yhat) and first.z is not first.yhat
     assert first.residual <= 1e-10  # ridge refit reproduces its own prediction
     assert all(r.residual <= 1e-9 for r in history.records)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from confit.errors import DataError
 from confit.learners import FittedModel, LearnerSpec, _leaf_value, fit, predict
 from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
 from oracles import (best_stump_brute, hat_matrix, huber_location_bisection, sorted_scan_tree,
@@ -39,7 +40,7 @@ def test_ridge_large_lambda_shrinks_to_intercept():
 def test_ridge_singular_without_lambda_raises():
     x = np.ones((10, 2))  # both columns collinear with the intercept
     y = np.arange(10.0)
-    with pytest.raises(ValueError, match="ridge_lambda"):
+    with pytest.raises(DataError, match="ridge_lambda"):
         fit(RIDGE0, x, y, MSE)
     fit(LearnerSpec("ridge", ridge_lambda=1e-3), x, y, MSE)  # regularized succeeds
 
