@@ -4,8 +4,9 @@
 A ConstraintSet lives in the extended space (z, u) where u are auxiliary
 variables that linearize absolute values.  Every constructor certifies
 nonemptiness by exhibiting one feasible point: a candidate that is a member,
-or else the cyclic Dykstra projection of the bound midpoint onto the set.
-The prepared geometry, the Dykstra sweep and the violation measure that
+or else the cyclic Dykstra projection of the bound midpoint onto the set,
+which stops early on a Farkas certificate that the set is empty. The
+prepared geometry, the Dykstra sweep and the violation measure that
 membership and the solvers share live here too.
 """
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleConstraintsError
+from .losses import MSE, loss_value, project_ball
 
 DEFAULT_MEMBER_TOL = 1e-6
 
@@ -191,21 +193,34 @@ def _geometry(cs: ConstraintSet) -> _Geometry:
     return geom
 
 
-def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
-    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections.
+def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int, ball=None):
+    """Euclidean projection onto bounds ∩ rows via cyclic Dykstra corrections,
+    and onto the trust ball mean((x - center)^2) <= beta, first in each
+    sweep, when `ball` is (center, beta); the ball's violation counts in loss
+    units. The sweeps end once the point moves by at most `tol` with its
+    violation within `tol`, or, without a ball, once it moves by at most
+    `tol` and the sweep proves the set empty (`_proves_empty`).
 
     A row whose last step left the point unchanged has a zero correction; it
     is held as None, so the next sweep skips adding it. That gives the same
     bits as adding it: x + 0.0 differs from x only where x is -0.0, and x
     holds no -0.0 unless a bound is -0.0.
     """
+    def violation(x):
+        worst = geom.violation(x)
+        return worst if ball is None else max(worst, loss_value(MSE, x, ball[0]) - ball[1])
+
     x = v.copy()
-    p_bounds = np.zeros_like(v)
+    p_ball = p_bounds = np.zeros_like(v)
     p_rows = [None] * geom.m
     sweeps = 0
     change = np.inf
     for sweep in range(max_sweeps):
-        x_prev = x
+        x_prev, before = x, (p_bounds, list(p_rows))
+        if ball is not None:
+            w = x + p_ball
+            x = project_ball(MSE, w, *ball)
+            p_ball = w - x
         w = x + p_bounds
         x = w.clip(geom.lower, geom.upper)
         p_bounds = w - x
@@ -221,9 +236,28 @@ def _dykstra(geom: _Geometry, v: np.ndarray, tol: float, max_sweeps: int):
                 p_rows[i] = None
         sweeps = sweep + 1
         change = float(np.abs(x - x_prev).max())
-        if change <= tol and geom.violation(x) <= tol:
+        if change <= tol and (violation(x) <= tol or ball is None
+                              and _proves_empty(geom, before, p_bounds, p_rows, x, change)):
             break
-    return x, sweeps, geom.violation(x), change
+    return x, sweeps, violation(x), change
+
+
+def _proves_empty(geom: _Geometry, before, p_bounds, p_rows, x, change) -> bool:
+    """Whether one sweep's correction increments prove bounds ∩ rows empty
+    (Farkas): each lies in its set's barrier cone (a nonnegative multiple of
+    an inequality row, no growth towards an infinite bound), and their support
+    values sum to s < 0. They sum to minus the point's move, so every member z
+    has s >= -change * ||z||_1: s must rule out all within l1 norm
+    1e6 * (1 + ||x||_1)."""
+    mu = np.array([(0.0 if p is None else float(p @ a)) - (0.0 if q is None else float(q @ a))
+                   for (a, _, _), p, q in zip(geom.rows, p_rows, before[1])])
+    if (mu[:geom.m_ineq] < 0.0).any():
+        return False
+    d = p_bounds - before[0]
+    with np.errstate(invalid="ignore"):  # 0 * inf in the branch np.where drops
+        box = np.where(d > 0.0, d * geom.upper, np.where(d < 0.0, d * geom.lower, 0.0))
+    s = float(box.sum()) + float(mu @ geom.b)
+    return s < -1e6 * change * (1.0 + float(np.abs(x).sum()))
 
 
 def _certify(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq, aux_abs,

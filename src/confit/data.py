@@ -29,12 +29,14 @@ class ColumnRoles:
 
 @dataclass
 class RawTable:
-    """Parsed delimited text: header names plus a grid of string/numeric cells."""
+    """Parsed delimited text: header names plus a grid of string/numeric cells,
+    with each row's line in the file when the table was read from one."""
 
     columns: list[str]
     rows: list[list]
     dropped_rows: int = 0
     encodings: dict[int, dict] = field(default_factory=dict)
+    lines: list[int] | None = None
 
     @property
     def n(self) -> int:
@@ -57,7 +59,8 @@ class RawTable:
 
     def select_rows(self, indices) -> "RawTable":
         rows = [self.rows[i] for i in indices]
-        return RawTable(list(self.columns), rows, 0, dict(self.encodings))
+        lines = None if self.lines is None else [self.lines[i] for i in indices]
+        return RawTable(list(self.columns), rows, 0, dict(self.encodings), lines)
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,7 @@ def load_csv(path, roles: ColumnRoles) -> RawTable:
             keep = [j for j, name in enumerate(header) if name not in roles.drop]
             columns = [header[j] for j in keep]
             rows: list[list] = []
+            lines: list[int] = []
             dropped = 0
             for lineno, raw in enumerate(reader, start=2):
                 if len(raw) > len(header):
@@ -154,11 +158,12 @@ def load_csv(path, roles: ColumnRoles) -> RawTable:
                     dropped += 1
                     continue
                 rows.append(cells)
+                lines.append(lineno)
         except csv.Error as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty table")
-    return RawTable(columns, rows, dropped_rows=dropped)
+    return RawTable(columns, rows, dropped_rows=dropped, lines=lines)
 
 
 def ordinal_encode(table: RawTable, categorical_columns) -> RawTable:
@@ -175,7 +180,7 @@ def ordinal_encode(table: RawTable, categorical_columns) -> RawTable:
                 mapping[val] = len(mapping)
             row[j] = mapping[val]
         encodings[j] = mapping
-    return RawTable(list(table.columns), rows, table.dropped_rows, encodings)
+    return replace(table, rows=rows, encodings=encodings)
 
 
 def _float_grid(table: RawTable) -> np.ndarray:
@@ -188,17 +193,19 @@ def _float_grid(table: RawTable) -> np.ndarray:
             return grid
     except (TypeError, ValueError):
         pass
-    for i, row in enumerate(table.rows, start=1):
+    for i, row in enumerate(table.rows):
+        where = f"row {i + 1}" + ("" if table.lines is None
+                                  else f" (file line {table.lines[i]})")
         if len(row) != table.d:
-            raise DataError(f"row {i} has {len(row)} cells but the table has {table.d} columns")
+            raise DataError(f"{where} has {len(row)} cells but the table has {table.d} columns")
         for column, cell in zip(table.columns, row):
             try:
                 value = float(cell)
             except (TypeError, ValueError):
                 raise DataError(
-                    f"non-numeric cell {cell!r} in column {column!r}, row {i}") from None
+                    f"non-numeric cell {cell!r} in column {column!r}, {where}") from None
             if not np.isfinite(value):
-                raise DataError(f"non-finite cell {cell!r} in column {column!r}, row {i}")
+                raise DataError(f"non-finite cell {cell!r} in column {column!r}, {where}")
     raise DataError(f"cannot read a {table.n} x {table.d} table of numbers")
 
 

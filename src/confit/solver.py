@@ -2,14 +2,12 @@
 anchor over a ConstraintSet, optionally inside a loss-ball around a feasible
 center.
 
-Three routes, picked automatically:
+Two routes, picked automatically:
 
-* squared loss, no auxiliaries, no ball: cyclic projections with Dykstra
-  corrections onto bounds and individual rows (the projection is Euclidean);
-* squared loss, no auxiliaries, ball: a safeguarded secant search (Illinois
-  regula falsi, bisection when a step leaves the bracket) on the ball
-  multiplier, each evaluation an inner Dykstra projection of the reweighted
-  anchor;
+* squared loss, no auxiliaries: cyclic projections with Dykstra corrections
+  onto the trust ball, if there is one, the bounds and the individual rows
+  (the projection is Euclidean, and the ball {mean((z - center)^2) <= beta}
+  is a Euclidean ball of radius sqrt(n * beta));
 * everything else (absolute/Huber losses, auxiliary variables, combined
   two-anchor objectives): a restarted primal-dual (PDHG) iteration whose
   primal step is the closed-form loss prox and whose dual blocks are one
@@ -26,12 +24,11 @@ certifies constraint sets with them; the geometry is built once per
 ConstraintSet and kept on it.
 
 Warm starts carry the primal/dual iterates and the primal weight between
-consecutive solves (sound for the primal-dual route; Dykstra corrections are
-never reused because they are tied to the projected point) and the ball
-multiplier between consecutive ball solves. A primal-dual solve that resumes
-a warm state checks the residual of its first step, and ends there when the
-state already solves the new problem, as it does once the fit-adjust loop
-has settled.
+consecutive solves. They are sound for the primal-dual route only: Dykstra
+corrections are tied to the projected point, so the Dykstra routes return
+no state. A primal-dual solve that resumes a warm state checks the residual
+of its first step, and ends there when the state already solves the new
+problem, as it does once the fit-adjust loop has settled.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintSet, _dykstra, _geometry, _Geometry
-from .losses import LossSpec, loss_norm, loss_value, project_ball, prox_pair, prox_unit
+from .losses import LossSpec, loss_norm, project_ball, prox_pair, prox_unit
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,6 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     return x, pri, dua, it, {"kind": "pdhg", "x": x, "y": y, "yb": yb, "omega": omega}
 
 
-def _finish(geom: _Geometry, x: np.ndarray) -> np.ndarray:
-    """Strip auxiliaries (undoing their scaling is unnecessary: they are not returned)."""
-    return x[:geom.n].copy()
-
-
 def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
             warm: dict | None = None) -> SolverReport:
     """Minimize loss(z, anchor) over the constraint set (within the trust ball
@@ -248,41 +240,32 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
     loss = problem.loss
     anchor = np.asarray(problem.anchor, dtype=float)
     geom = _geometry(cs)
-    trust = problem.trust
-    if trust is not None:
-        center, beta = np.asarray(trust[0], dtype=float), float(trust[1])
+    ball = None
+    if problem.trust is not None:
+        center, beta = np.asarray(problem.trust[0], dtype=float), float(problem.trust[1])
         if beta == 0.0:
             # the ball degenerates to its center, which the caller guarantees feasible
             return SolverReport(center.copy(), 0.0, 0.0, 0, True, "degenerate-ball")
-        if not np.isfinite(beta):
-            trust = None
-    if warm is not None and not opts.warm_start:
-        warm = None
-
-    if trust is None:
-        extended = cs.extend(anchor)
-        if cs.n_aux:
-            extended = np.concatenate([anchor, extended[cs.n:] / geom.aux_scale])
+        if np.isfinite(beta):
+            ball = (center, beta)
+    if ball is None:
+        # the anchor with its analytic auxiliaries, in the solver's scaling
+        extended = np.concatenate([anchor, np.abs(cs.aux_abs @ anchor) / geom.aux_scale])
         if geom.violation(extended) <= 1e-15:
             return SolverReport(anchor.copy(), 0.0, 0.0, 0, True, "already-feasible")
-        if loss.kind == "mse" and cs.n_aux == 0:
-            x, sweeps, viol, change = _dykstra(geom, anchor, opts.tolerance, opts.max_iterations)
-            converged = viol <= opts.tolerance and change <= opts.tolerance
-            return SolverReport(_finish(geom, x), viol, change, sweeps, converged, "dykstra")
-        x, pri, dua, it, state = _pdhg(
-            geom, lambda v, t: prox_unit(loss, t, v, anchor),
-            opts.tolerance, opts.max_iterations, state=warm, anchor_start=anchor)
-        return SolverReport(_finish(geom, x), pri, dua, it,
-                            pri <= opts.tolerance and dua <= opts.tolerance, "pdhg", state)
-
+    suffix = "" if ball is None else "-ball"
     if loss.kind == "mse" and cs.n_aux == 0:
-        return _ball_multiplier_mse(geom, anchor, center, beta, opts, warm)
+        x, sweeps, viol, change = _dykstra(geom, anchor, opts.tolerance,
+                                           opts.max_iterations, ball)
+        converged = viol <= opts.tolerance and change <= opts.tolerance
+        return SolverReport(x[:cs.n].copy(), viol, change, sweeps, converged, "dykstra" + suffix)
     x, pri, dua, it, state = _pdhg(
         geom, lambda v, t: prox_unit(loss, t, v, anchor),
-        opts.tolerance, opts.max_iterations, state=warm,
-        ball=(center, beta, loss), anchor_start=center)
-    return SolverReport(_finish(geom, x), pri, dua, it,
-                        pri <= opts.tolerance and dua <= opts.tolerance, "pdhg-ball", state)
+        opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
+        ball=None if ball is None else (*ball, loss),
+        anchor_start=anchor if ball is None else center)
+    return SolverReport(x[:cs.n].copy(), pri, dua, it,
+                        pri <= opts.tolerance and dua <= opts.tolerance, "pdhg" + suffix, state)
 
 
 def project_ball_intersection(loss: LossSpec, anchor, center, beta: float,
@@ -293,75 +276,6 @@ def project_ball_intersection(loss: LossSpec, anchor, center, beta: float,
     problem = ProjectionProblem(loss, np.asarray(anchor, dtype=float), constraints,
                                 trust=(np.asarray(center, dtype=float), beta))
     return project(problem, opts, warm)
-
-
-def _ball_multiplier_mse(geom: _Geometry, anchor, center, beta, opts, warm):
-    """Squared loss + Euclidean ball. With the ball active, the solution is
-    z(nu), the plain projection of (anchor + nu*center)/(1 + nu), at the root
-    of phi(nu) = loss(z(nu), center) - beta, which decreases in nu.
-
-    The search keeps a bracket phi(nu_lo) > 0 >= phi(nu_hi), found by
-    growing nu_hi from the previous solve's multiplier, and shrinks it by
-    Illinois regula falsi steps (a secant through the two ends, halving the
-    value kept at an end that survives twice in a row), with bisection
-    whenever the secant point leaves the bracket. It stops once the bracket
-    is 1e-12 wide relative to nu_hi (the bisection it replaces stopped
-    there) or z(nu_hi) meets the ball's boundary to 1e-15 * beta. It returns
-    z(nu_hi), so the solution never leaves the ball.
-    """
-    mse = LossSpec("mse")
-    tol = opts.tolerance
-    total = 0
-
-    def inner(nu):
-        nonlocal total
-        blend = (anchor + nu * center) / (1.0 + nu)
-        x, sweeps, viol, change = _dykstra(geom, blend, tol, opts.max_iterations)
-        total += sweeps
-        return x, viol, change, loss_value(mse, x, center)
-
-    x, viol, change, value = inner(0.0)
-    if value <= beta + tol:
-        converged = viol <= tol and change <= tol
-        return SolverReport(_finish(geom, x), viol, change, total, converged, "dykstra-ball")
-    nu_lo, phi_lo = 0.0, value - beta
-    nu_hi = 1.0 if warm is None or warm.get("kind") != "ball-nu" else max(warm["nu"], 1e-6)
-    x, viol, change, value = inner(nu_hi)
-    while value > beta and nu_hi <= 1e14:
-        # phi is decreasing and mostly convex, so the secant through the last
-        # two points crosses 0 short of the root: step twice as far, and at
-        # most to four times nu_hi
-        phi = value - beta
-        grow = 4.0 * nu_hi
-        if phi < phi_lo:
-            grow = min(grow, nu_hi + 2.0 * phi * (nu_hi - nu_lo) / (phi_lo - phi))
-        nu_lo, phi_lo, nu_hi = nu_hi, phi, grow
-        x, viol, change, value = inner(nu_hi)
-    gap_hi = phi_hi = value - beta  # phi_lo and phi_hi may be halved; gap_hi stays exact
-    kept = 0  # +1: the last step moved nu_hi, -1: it moved nu_lo
-    for _ in range(200):
-        if gap_hi >= -1e-15 * beta or nu_hi - nu_lo <= 1e-12 * (1.0 + nu_hi):
-            break
-        nu = nu_hi - phi_hi * (nu_hi - nu_lo) / (phi_hi - phi_lo)
-        if not nu_lo < nu < nu_hi:
-            nu = 0.5 * (nu_lo + nu_hi)
-        x_nu, viol_nu, change_nu, value = inner(nu)
-        if value > beta:
-            nu_lo, phi_lo = nu, value - beta
-            if kept < 0:
-                phi_hi *= 0.5
-            kept = -1
-        else:
-            nu_hi, gap_hi = nu, value - beta
-            phi_hi = gap_hi
-            x, viol, change = x_nu, viol_nu, change_nu
-            if kept > 0:
-                phi_lo *= 0.5
-            kept = 1
-    ball_gap = max(gap_hi, 0.0)
-    converged = viol <= tol and change <= tol and ball_gap <= tol
-    return SolverReport(_finish(geom, x), max(viol, ball_gap), change, total,
-                        converged, "dykstra-ball", {"kind": "ball-nu", "nu": nu_hi})
 
 
 def project_blend(loss: LossSpec, target, prediction, weight: float,
@@ -379,13 +293,12 @@ def project_blend(loss: LossSpec, target, prediction, weight: float,
         raise ValueError("target/prediction dimension does not match constraints")
     if weight < 0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
-    if warm is not None and not opts.warm_start:
-        warm = None
     geom = _geometry(constraints)
     x, pri, dua, it, state = _pdhg(
         geom, lambda v, t: prox_pair(loss, t, v, target, prediction, weight),
-        opts.tolerance, opts.max_iterations, state=warm, anchor_start=target)
-    return SolverReport(_finish(geom, x), pri, dua, it,
+        opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
+        anchor_start=target)
+    return SolverReport(x[:constraints.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg-blend", state)
 
 

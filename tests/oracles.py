@@ -167,14 +167,14 @@ def mse_ball_box_oracle(anchor, center, beta, lo=0.0, hi=1.0, iters=200):
     return inner(nu_hi)
 
 
-def ball_multiplier_bisection(project, anchor, center, beta, tol, warm_nu=None):
+def ball_multiplier_bisection(project, anchor, center, beta, tol):
     """min ||z - anchor||^2 over a convex set, subject to mean((z - center)^2) <= beta.
 
     `project(v)` is the Euclidean projection onto the set. The ball is
     inactive when the plain projection of the anchor lies within beta + tol;
     otherwise the ball multiplier nu is bracketed by growing it fourfold from
-    `warm_nu` (default 1), then bisected to a relative width of 1e-12, and the
-    projection of (anchor + nu*center)/(1 + nu) at the upper end is returned.
+    1, then bisected to a relative width of 1e-12, and the projection of
+    (anchor + nu*center)/(1 + nu) at the upper end is returned.
     Returns (z, nu), with nu None when the ball is inactive.
     """
     anchor = np.asarray(anchor, dtype=float)
@@ -189,7 +189,7 @@ def ball_multiplier_bisection(project, anchor, center, beta, tol, warm_nu=None):
     z0 = inner(0.0)
     if ball(z0) <= beta + tol:
         return z0, None
-    nu_lo, nu_hi = 0.0, 1.0 if warm_nu is None else max(warm_nu, 1e-6)
+    nu_lo, nu_hi = 0.0, 1.0
     while ball(inner(nu_hi)) > beta:
         nu_lo = nu_hi
         nu_hi *= 4.0

@@ -231,9 +231,47 @@ def _infeasible_didi_and_row():
                               a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]), b_eq=np.array([0.0, 1.0])),
     _infeasible_didi_and_row,
 ], ids=["contradictory-rows", "rows-exclude-box", "contradictory-equalities", "didi-eps0-row"])
-def test_row_level_infeasibility_raises(build):
+def test_row_level_infeasibility_raises(build, monkeypatch):
+    sweeps = []
+    dykstra = constraints._dykstra
+
+    def counted(*args, **kwargs):
+        out = dykstra(*args, **kwargs)
+        sweeps.append(out[1])
+        return out
+
+    monkeypatch.setattr(constraints, "_dykstra", counted)
     with pytest.raises(InfeasibleConstraintsError):
         build()
+    # the certifier stops on a proof of emptiness, far short of its 5,000 sweeps
+    assert 0 < sum(sweeps) <= 50
+
+
+def test_no_early_emptiness_proof_for_a_set_holding_a_point(monkeypatch):
+    # half of the rows pass through the known member, so the Dykstra point
+    # can stall short of the set; such a stall must not pass for a proof of
+    # emptiness. A thin set may still exhaust the certifier's 5,000 sweeps.
+    sweeps = []
+    dykstra = constraints._dykstra
+
+    def counted(*args, **kwargs):
+        out = dykstra(*args, **kwargs)
+        sweeps.append(out[1])
+        return out
+
+    monkeypatch.setattr(constraints, "_dykstra", counted)
+    rng = np.random.default_rng(1)
+    for trial in range(140):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 10))
+        inside = rng.uniform(0, 1, n)
+        a = rng.standard_normal((m, n))
+        margin = np.where(rng.uniform(size=m) < 0.5, 0.0, rng.uniform(0, 0.05, m))
+        a_eq = rng.standard_normal((trial % 3, n))
+        try:
+            from_inequalities(a, a @ inside + margin, n, a_eq=a_eq, b_eq=a_eq @ inside,
+                              lower=np.zeros(n), upper=np.ones(n))
+        except InfeasibleConstraintsError:
+            assert sweeps[-1] == 5000, f"set {trial} declared empty after {sweeps[-1]} sweeps"
 
 
 def _generated_sets(rng):

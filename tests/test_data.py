@@ -246,6 +246,19 @@ def test_non_finite_cell_names_column_and_row(cell):
             apply_normalization(t, "target", ref)
 
 
+def test_bad_cell_names_its_file_line_past_a_dropped_row(tmp_path):
+    t = load_csv(write(tmp_path, "a,target\n1,NA\n2,3\n4,inf\n"), ROLES)
+    assert t.n == 2 and t.dropped_rows == 1
+    with pytest.raises(DataError, match=r"column 'target', row 2 \(file line 4\)$"):
+        normalize(t, "target")
+    # a fold keeps the file lines of its rows
+    with pytest.raises(DataError, match=r"row 1 \(file line 4\)$"):
+        normalize(t.select_rows([1]), "target")
+    with pytest.raises(DataError, match=r"column 'a', row 1 \(file line 2\)$"):
+        normalize(ordinal_encode(load_csv(write(tmp_path, "a,target\nx,1\n"), ROLES), []),
+                  "target")
+
+
 def test_nan_cell_is_missing_and_its_row_dropped(tmp_path):
     t = load_csv(write(tmp_path, "a,b,target\n1,nan,3\n4,5,6\n7,8,NaN\n9,1,2\n"), ROLES)
     assert t.n == 2 and t.dropped_rows == 2

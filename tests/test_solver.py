@@ -276,12 +276,10 @@ BALL_OPTS = SolverOptions(tolerance=1e-10, max_iterations=300000)
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([10, 50]),
-       scale=st.sampled_from([0.2, 0.6, 0.95, 1.05, 2.0]),
-       warm=st.sampled_from([None, 0.1, 0.7, 1.5, 10.0]))
-def test_mse_ball_secant_matches_bisection_oracle(seed, n, scale, warm):
+       scale=st.sampled_from([0.2, 0.6, 0.95, 1.05, 2.0]))
+def test_mse_ball_dykstra_matches_bisection_oracle(seed, n, scale):
     # a polytope shaped like acceptance criterion 1's; beta is `scale` times
-    # the threshold at which the ball turns active, and the warm multiplier
-    # is `warm` times the oracle's root (below or above it)
+    # the threshold at which the ball turns active
     rng = np.random.default_rng(seed)
     cs = random_polytope(rng, n, int(rng.integers(5, 21)), margin=(0.01, 0.1))
     anchor = rng.uniform(0, 1, n)
@@ -292,14 +290,28 @@ def test_mse_ball_secant_matches_bisection_oracle(seed, n, scale, warm):
         return dykstra_reference(geom, v, BALL_OPTS.tolerance, BALL_OPTS.max_iterations)[0]
 
     beta = scale * loss_value(MSE, inner(anchor), center)
-    want, nu = ball_multiplier_bisection(inner, anchor, center, beta, BALL_OPTS.tolerance)
-    state = None if warm is None or nu is None else {"kind": "ball-nu", "nu": warm * nu}
-    rep = project_ball_intersection(MSE, anchor, center, beta, cs, BALL_OPTS, state)
-    assert rep.method == "dykstra-ball" and rep.converged
+    want, _ = ball_multiplier_bisection(inner, anchor, center, beta, BALL_OPTS.tolerance)
+    rep = project_ball_intersection(MSE, anchor, center, beta, cs, BALL_OPTS)
+    assert rep.method == "dykstra-ball" and rep.converged and rep.state is None
     assert is_member(cs, rep.solution, tol=1e-6)
     assert loss_value(MSE, rep.solution, center) <= beta + BALL_OPTS.tolerance
     assert np.max(np.abs(rep.solution - want)) <= 1e-8
-    assert (rep.state is None) == (nu is None)
+
+
+def test_empty_ball_intersection_reports_the_loss_unit_excess():
+    # the center lies 1e-3 outside the box, so no point of the box is within
+    # beta = 1e-9 of it: the solve ends at the box, and its residual is the
+    # ball's excess in loss units, mean((z - center)^2) - beta
+    n, beta = 20, 1e-9
+    center = np.full(n, 0.5)
+    center[0] = 1.0 + 1e-3
+    rep = project_ball_intersection(MSE, np.full(n, 0.2), center, beta, build_box(0.0, 1.0, n))
+    excess = loss_value(MSE, rep.solution, center) - beta
+    assert rep.method == "dykstra-ball" and rep.state is None
+    assert rep.primal_residual == pytest.approx(excess, rel=1e-9)
+    assert 4e-8 < excess < solver.DEFAULT_OPTIONS.tolerance and rep.converged
+    assert rep.iterations <= 5
+    assert rep.solution[0] <= 1.0
 
 
 def test_dykstra_matches_reference_bit_for_bit():
@@ -492,6 +504,50 @@ def test_pdhg_routes_return_members_and_are_idempotent(seed, n, m, route, beta, 
     again = solve(rep.solution, rep.solution)
     assert again.converged
     assert np.max(np.abs(again.solution - rep.solution)) <= 1e-7
+
+
+def _mse_solve(cs, beta):
+    """The mse projection onto `cs`, inside the ball of radius `beta` around
+    its feasible point unless `beta` is None: a `dykstra` or `dykstra-ball`
+    solve at TIGHT."""
+    if beta is None:
+        return lambda target: project(ProjectionProblem(MSE, target, cs), TIGHT)
+    return lambda target: project_ball_intersection(MSE, target, cs.feasible_point, beta,
+                                                    cs, TIGHT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       beta=st.sampled_from([None, 0.005, 0.02, 0.1]))
+def test_dykstra_routes_return_members_and_are_idempotent(seed, n, m, beta):
+    rng = np.random.default_rng(seed)
+    cs = random_polytope(rng, n, m)
+    anchor = rng.uniform(-0.5, 1.5, n)
+    anchor[0] = -0.5  # outside the box, so never already feasible
+    solve = _mse_solve(cs, beta)
+    rep = solve(anchor)
+    assert rep.method == ("dykstra" if beta is None else "dykstra-ball")
+    assert rep.converged and rep.state is None
+    assert is_member(cs, rep.solution, tol=1e-8)
+    if beta is not None:
+        assert loss_value(MSE, rep.solution, cs.feasible_point) <= beta + 1e-8
+    again = solve(rep.solution)
+    assert again.converged
+    assert np.max(np.abs(again.solution - rep.solution)) <= 1e-7
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       beta=st.sampled_from([None, 0.005, 0.02, 0.1]))
+def test_mse_projection_is_nonexpansive(seed, n, m, beta):
+    # with or without the ball, the set is convex and the projection Euclidean
+    rng = np.random.default_rng(seed)
+    cs = random_polytope(rng, n, m)
+    x1, x2 = rng.uniform(-0.5, 1.5, (2, n))
+    solve = _mse_solve(cs, beta)
+    p1, p2 = solve(x1), solve(x2)
+    assert p1.converged and p2.converged
+    assert np.linalg.norm(p1.solution - p2.solution) <= np.linalg.norm(x1 - x2) + 1e-8
 
 
 def test_geometry_built_once_per_constraint_set(monkeypatch):
