@@ -266,7 +266,11 @@ def _certify(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq, aux_abs,
     a member, checked on the stacked unit rows and bounds alone, else the
     Dykstra projection of the bound midpoint. Only that projection needs the
     prepared geometry, which then goes with the returned set; a set certified
-    by a candidate builds its geometry on first use."""
+    by a candidate builds its geometry on first use.
+
+    Without a member, the InfeasibleConstraintsError says whether the sweeps
+    proved the set empty (`_proves_empty`) or ended at their cap of 5,000;
+    a thin feasible set can end there too."""
     made = ConstraintSet(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq,
                          aux_abs, provenance, np.empty(0))
     a, b = _stacked_rows(made)
@@ -277,9 +281,17 @@ def _certify(n, n_aux, lower, upper, a_ineq, b_ineq, a_eq, b_eq, aux_abs,
     geom = _Geometry(made)
     mid_lo = np.where(np.isfinite(geom.lower), geom.lower, -1.0)
     mid_hi = np.where(np.isfinite(geom.upper), geom.upper, 1.0)
-    point = _dykstra(geom, 0.5 * (mid_lo + mid_hi), 1e-10, 5000)[0][:n]
-    if geom.member_violation(made.extend(point)) > 1e-9:
-        raise InfeasibleConstraintsError(f"infeasible constraint set ({provenance})")
+    point, sweeps, violation, _ = _dykstra(geom, 0.5 * (mid_lo + mid_hi), 1e-10, 5000)
+    point = point[:n]
+    worst = geom.member_violation(made.extend(point))
+    if worst > 1e-9:
+        # before the cap, the sweeps end on a violation above tol only on a proof
+        if sweeps < 5000 and violation > 1e-10:
+            raise InfeasibleConstraintsError(
+                f"infeasible constraint set ({provenance}): proved empty after {sweeps} sweeps")
+        raise InfeasibleConstraintsError(
+            f"constraint set ({provenance}) not certified: no member found in {sweeps} "
+            f"sweeps (worst violation {worst:.3g})")
     certified = replace(made, feasible_point=point.copy())
     certified.__dict__["_geometry"] = geom
     return certified

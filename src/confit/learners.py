@@ -15,6 +15,7 @@ from .losses import LossSpec, gradient, loss_value
 
 LEARNER_KINDS = ("ridge", "gbt")
 _TIE_RTOL = 1e-12  # split gains this close to a node's best are tied
+_KEPT_BYTES = 8 << 20  # the most a `_KeptLevels` holds
 
 
 @dataclass(frozen=True)
@@ -48,17 +49,6 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            leafy = self.feature[idx] < 0
-            if leafy.all():
-                return self.value[idx]
-            live = ~leafy
-            nodes = idx[live]
-            go_left = x[live, self.feature[nodes]] <= self.threshold[nodes]
-            idx[live] = np.where(go_left, self.left[nodes], self.right[nodes])
-
 
 @dataclass
 class FittedModel:
@@ -78,8 +68,12 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 
     `reuse` is a dict that a caller refitting one training matrix keeps for
     it (the matrix must not change meanwhile): a fit stores there what later
-    fits of the same matrix reuse, for ridge [1, x] and the Cholesky factor
-    of its penalized Gram matrix. Fits give the same bits with or without it.
+    fits of the same matrix reuse. For ridge that is [1, x] and the Cholesky
+    factor of its penalized Gram matrix, per `ridge_lambda`. For gbt it is
+    the bins of x (`_bin_features`), once, and per `min_samples_leaf` the
+    root level's candidate splits and those of the level below each root
+    split seen so far (`_KeptLevels`). Fits give the same bits with or
+    without it.
     """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -87,10 +81,8 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
         raise ValueError(f"incompatible shapes: x {x.shape}, target {target.shape}")
     if not np.isfinite(x).all():
         raise ValueError("feature matrix contains non-finite entries")
-    if spec.kind == "ridge":
-        model = _fit_ridge(spec, x, target, loss, {} if reuse is None else reuse)
-    else:
-        model = _fit_gbt(spec, x, target, loss)
+    fit_kind = _fit_ridge if spec.kind == "ridge" else _fit_gbt
+    model = fit_kind(spec, x, target, loss, {} if reuse is None else reuse)
     model.training_loss = loss_value(loss, model.train_prediction, target)
     return model
 
@@ -102,9 +94,36 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     if model.spec.kind == "ridge":
         return np.column_stack([np.ones(x.shape[0]), x]) @ model.theta
     out = np.full(x.shape[0], model.init)
-    for tree in model.trees:
-        out += model.spec.learning_rate * tree.apply(x)
+    if not model.trees:
+        return out
+    value, leaf = _ensemble_leaves(model.trees, x)
+    for step in model.spec.learning_rate * value[leaf]:  # tree by tree, in order
+        out += step
     return out
+
+
+def _ensemble_leaves(trees: list[_Tree], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every tree's leaf for every row, found for all trees at once: the
+    trees' nodes are laid end to end, and a (trees x rows) matrix of node
+    ids moves one level down per step (`x[:, feature] <= threshold` goes
+    left) until every entry is a leaf. Returns the nodes' values and that
+    matrix."""
+    sizes = [tree.feature.size for tree in trees]
+    start = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(start, sizes)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    left, right = left + offset, right + offset
+    rows = np.arange(x.shape[0])
+    idx = np.repeat(start[:, None], rows.size, axis=1)
+    while True:
+        f = feature[idx]
+        live = f >= 0
+        if not live.any():
+            return value, idx
+        go_left = x[rows, f] <= threshold[idx]
+        idx = np.where(live, np.where(go_left, left[idx], right[idx]), idx)
 
 
 def _fit_ridge(spec: LearnerSpec, x, target, loss, reuse: dict) -> FittedModel:
@@ -139,7 +158,7 @@ def _leaf_value(loss: LossSpec, residual: np.ndarray) -> float:
     makes the training loss non-increasing for any learning rate in (0, 1].
     """
     if loss.kind == "mse":
-        return float(residual.mean())
+        return float(np.add.reduce(residual) / residual.size)  # the bits of .mean()
     if loss.kind == "mae":
         return float(np.median(residual))
     return _huber_location(residual, loss.huber_m)
@@ -192,65 +211,111 @@ def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, values
 
 
-def _fit_tree(codes, values, x, grad_target, residual, loss, max_depth, min_leaf):
+@dataclass
+class _KeptLevels:
+    """Levels of the trees grown on one training matrix with one `min_leaf`,
+    kept for later trees: the root level, and the level below each root
+    split, as each row's node and slot and the level's `_candidates`, by the
+    split cells above the level. A level depends on nothing else. Levels are
+    kept while their arrays take at most `_KEPT_BYTES`."""
+    levels: dict = field(default_factory=dict)
+    nbytes: int = 0
+
+    def keep(self, path: tuple, node, slot, found) -> None:
+        size = node.nbytes + slot.nbytes + sum(a.nbytes for a in found)
+        if self.nbytes + size <= _KEPT_BYTES:
+            self.levels[path] = node, slot, found
+            self.nbytes += size
+
+
+def _candidates(key, slot, m, values, min_leaf):
+    """The candidate splits of one level's m open nodes, from each row's flat
+    key (node, feature, bin) and its node's place `slot` (m for a closed
+    node). A candidate is a non-empty bin with `min_leaf` rows on each side;
+    its threshold is the midpoint to the next non-empty bin's value, or the
+    bin's own value where the midpoint of two adjacent floats rounds up to
+    the next one. Returns the candidates' flat cells in ascending order,
+    their node, their left, right and node row counts, and their
+    thresholds."""
+    d, width = values.shape
+    cells = d * width
+    count = np.bincount(key, minlength=(m + 1) * cells)[:m * cells].reshape(m, d, width)
+    ni = np.bincount(slot, minlength=m + 1)[:m]
+    nl = np.cumsum(count, axis=2)
+    nr = ni[:, None, None] - nl
+    cand = np.flatnonzero((count > 0) & (nl >= min_leaf) & (nr >= min_leaf))
+    at = cand // cells
+    nonempty = np.flatnonzero(count)  # a candidate's next one is in its node and feature
+    low = values.ravel()[cand % cells]
+    high = values.ravel()[nonempty[np.searchsorted(nonempty, cand, side="right")] % cells]
+    mid = 0.5 * (low + high)
+    return cand, at, nl.ravel()[cand], nr.ravel()[cand], ni[at], np.where(mid < high, mid, low)
+
+
+def _fit_tree(codes, values, kept, grad_target, residual, loss, max_depth, min_leaf):
     """Exact greedy regression tree grown level by level: structure chosen by
     squared-error gain on the gradient targets, leaf values by line search on
     the true residuals.
 
     The split search is a histogram search at the distinct feature values
-    (`_bin_features`), so it is exact. For each level, one bincount over the
-    key (node, feature, bin) gives every open node's gradient sum and row
-    count per bin, and prefix sums along the bins give the gain of every
-    split `x[:, f] <= threshold`. A candidate is a non-empty bin of the node
-    that has a later non-empty bin; its threshold is the midpoint to that
-    next value, and both sides must keep `min_leaf` rows. A node splits when
-    its best gain exceeds 1e-12. Gains within a relative `_TIE_RTOL` of the
-    node's best are tied, and the tie goes to the lowest feature, then the
-    lowest threshold. Each leaf's value is `_leaf_value` of its rows'
-    residuals in ascending row order.
+    (`_bin_features`), so it is exact. For each level, bincounts over the key
+    (node, feature, bin) give every open node's gradient sum and row count
+    per bin, and prefix sums along the bins give the gain of every candidate
+    split `x[:, f] <= threshold` (`_candidates`). A node splits when its best
+    gain exceeds 1e-12. Gains within a relative `_TIE_RTOL` of the node's
+    best are tied, and the tie goes to the lowest feature, then the lowest
+    threshold. Rows are routed by their bin codes. Each leaf's value is
+    `_leaf_value` of its rows' residuals in ascending row order.
 
-    Returns the tree and the leaf (node id) of every row.
+    The levels in `kept` (a `_KeptLevels`) are taken from it, and the ones it
+    lacks are added. Returns the tree and the leaf (node id) of every row.
     """
     n, d = codes.shape
     width = values.shape[1]
     cells = d * width
-    node = np.zeros(n, dtype=np.int64)  # each row's node
-    slot = np.zeros(n, dtype=np.int64)  # its node's place among the open nodes; m once closed
+    # each row's node, and that node's place among the open nodes (m once it is closed)
+    node = slot = np.zeros(n, dtype=np.int64)
     open_ids = np.zeros(1, dtype=np.int64)
     splits = []  # (node ids, features, thresholds) per level, in node order
     done = 0  # splits so far: the j-th split's children are nodes 2j+1 and 2j+2
     weights = np.repeat(grad_target, d)
-    rows = np.arange(n)
-    for _ in range(max_depth):
+    flat_codes = codes.ravel()
+    row_start = np.arange(0, n * d, d)
+    path = ()  # the split cells above this level; None below level 1, which `kept` does not hold
+    for depth in range(max_depth):
         m = open_ids.size
-        key = ((slot * cells)[:, None] + codes).ravel()
+        key = (codes + (slot * cells)[:, None]).ravel() if depth else flat_codes
+        if path in kept.levels:
+            found = kept.levels[path][2]
+        else:
+            found = _candidates(key, slot, m, values, min_leaf)
+            if path is not None:
+                kept.keep(path, node, slot, found)
+        cand, at, nl, nr, ni, thr = found
         gsum = np.bincount(key, weights, (m + 1) * cells)[:m * cells].reshape(m, d, width)
-        count = np.bincount(key, minlength=(m + 1) * cells)[:m * cells].reshape(m, d, width)
-        ni = np.bincount(slot, minlength=m + 1)[:m, None, None]
-        tot = np.bincount(slot, grad_target, m + 1)[:m, None, None]
-        sl = np.cumsum(gsum, axis=2)
-        nl = np.cumsum(count, axis=2)
-        nr = ni - nl
-        valid = (count > 0) & (nl >= min_leaf) & (nr >= min_leaf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = sl * sl / nl + (tot - sl) ** 2 / nr - tot * tot / ni
-        gain = np.where(valid, gain, -np.inf).reshape(m, cells)
+        sl = np.cumsum(gsum, axis=2).ravel()[cand]
+        tot = np.bincount(slot, grad_target, m + 1)[at]
+        gain = np.full(m * cells, -np.inf)
+        gain[cand] = sl * sl / nl + (tot - sl) ** 2 / nr - tot * tot / ni
+        gain = gain.reshape(m, cells)
         best = gain.max(axis=1, initial=-np.inf)
         k = np.flatnonzero(best > 1e-12)
         if k.size == 0:
             break
         first = np.argmax(gain[k] >= (best[k] - _TIE_RTOL * best[k])[:, None], axis=1)
-        f, b = np.divmod(first, width)
-        after = np.argmax(nl[k, f] > nl[k, f, b][:, None], axis=1)  # next non-empty bin
-        thr = 0.5 * (values[f, b] + values[f, after])
-        splits.append((open_ids[k], f, thr))
+        f = first // width  # first = f * width + bin, as in `codes`
+        splits.append((open_ids[k], f, thr[np.searchsorted(cand, k * cells + first)]))
 
-        rank = np.full(m + 1, -1)
-        rank[k] = np.arange(k.size)
-        r = rank[slot]  # -1 for rows whose node stays a leaf; np.where drops them
-        side = 2 * r + (x[rows, f[r]] > thr[r])
-        node = np.where(r >= 0, 1 + 2 * done + side, node)
-        slot = np.where(r >= 0, side, 2 * k.size)
+        path = (int(first[0]),) if depth == 0 else None
+        if path in kept.levels:
+            node, slot = kept.levels[path][:2]
+        else:
+            rank = np.full(m + 1, -1)
+            rank[k] = np.arange(k.size)
+            r = rank[slot]  # -1 for rows whose node stays a leaf; np.where drops them
+            side = 2 * r + (flat_codes[row_start + f[r]] > first[r])
+            node = np.where(r >= 0, 1 + 2 * done + side, node)
+            slot = np.where(r >= 0, side, 2 * k.size)
         open_ids = 1 + 2 * done + np.arange(2 * k.size)
         done += k.size
 
@@ -262,22 +327,28 @@ def _fit_tree(codes, values, x, grad_target, residual, loss, max_depth, min_leaf
         ids, f, thr = map(np.concatenate, zip(*splits))
         feature[ids], threshold[ids], left[ids] = f, thr, 1 + 2 * np.arange(done)
     right = np.where(left < 0, -1, left + 1)
-    value = np.zeros(feature.size)
-    order = np.argsort(node, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(node, minlength=feature.size))[:-1])
-    for leaf in np.flatnonzero(feature < 0):
-        value[leaf] = _leaf_value(loss, residual[members[leaf]])
+    value = np.zeros(size)
+    by_leaf = residual[np.argsort(node, kind="stable")]
+    bounds = [0] + np.cumsum(np.bincount(node, minlength=size)).tolist()
+    for leaf in np.flatnonzero(feature < 0).tolist():
+        value[leaf] = _leaf_value(loss, by_leaf[bounds[leaf]:bounds[leaf + 1]])
     return _Tree(feature, threshold, left, right, value), node
 
 
-def _fit_gbt(spec: LearnerSpec, x, target, loss) -> FittedModel:
-    codes, values = _bin_features(x)
+def _fit_gbt(spec: LearnerSpec, x, target, loss, reuse: dict) -> FittedModel:
+    """Boosted trees from the mean of `target`. The bins of x and the kept
+    levels for `spec.min_samples_leaf` are taken from `reuse`, or made and
+    kept there."""
+    if "gbt" not in reuse:
+        reuse["gbt"] = _bin_features(x)
+    codes, values = reuse["gbt"]
+    kept = reuse.setdefault(("gbt", spec.min_samples_leaf), _KeptLevels())
     current = np.full(x.shape[0], target.mean())
     trees: list[_Tree] = []
     for _ in range(spec.n_trees):
         residual = target - current
         grad_target = 0.5 * gradient(loss, residual) if loss.kind != "mae" else np.sign(residual)
-        tree, leaf = _fit_tree(codes, values, x, grad_target, residual, loss,
+        tree, leaf = _fit_tree(codes, values, kept, grad_target, residual, loss,
                                spec.max_depth, spec.min_samples_leaf)
         current = current + spec.learning_rate * tree.value[leaf]
         trees.append(tree)

@@ -548,7 +548,8 @@ def sorted_scan_tree(x, grad_target, residual, leaf_value, max_depth, min_leaf):
 
     A split maximizes the squared-error gain on `grad_target`, with at least
     `min_leaf` rows on each side and the threshold midway between the two
-    values at the boundary. A node splits when its best gain exceeds 1e-12;
+    values at the boundary, or the lower value where that midpoint of two
+    adjacent floats rounds up to the higher one. A node splits when its best gain exceeds 1e-12;
     gains within a relative 1e-12 of the best are tied, and the tie goes
     to the lowest feature, then the lowest threshold. A leaf holds
     `leaf_value(residual[rows])` with `rows` ascending.
@@ -576,7 +577,8 @@ def sorted_scan_tree(x, grad_target, residual, leaf_value, max_depth, min_leaf):
                 if xs[j] == xs[j + 1] or nl < min_leaf or ni - nl < min_leaf:
                     continue
                 gain = cs[j] * cs[j] / nl + (tot - cs[j]) ** 2 / (ni - nl) - base
-                candidates.append((gain, f, 0.5 * (xs[j] + xs[j + 1])))
+                mid = 0.5 * (xs[j] + xs[j + 1])
+                candidates.append((gain, f, mid if mid < xs[j + 1] else xs[j]))
         best = max((c[0] for c in candidates), default=-np.inf)
         if best <= 1e-12:
             return None
@@ -648,14 +650,38 @@ def _row_subset(ds, rows):
     return dataclasses.replace(ds, x=x, y=ds.y[rows], protected=tuple(specs))
 
 
+def tree_apply(tree, x):
+    """Each row's leaf value in one fitted gbt tree: the rows walk down the
+    tree together, one level per step (`x[:, feature] <= threshold` goes
+    left)."""
+    idx = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        leafy = tree.feature[idx] < 0
+        if leafy.all():
+            return tree.value[idx]
+        live = ~leafy
+        nodes = idx[live]
+        go_left = x[live, tree.feature[nodes]] <= tree.threshold[nodes]
+        idx[live] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+
+
+def predict_tree_by_tree(model, x):
+    """The fitted gbt `model`'s prediction, one tree at a time: the learning
+    rate times each tree's `tree_apply`, added to the base in tree order."""
+    out = np.full(x.shape[0], model.init)
+    for tree in model.trees:
+        out += model.spec.learning_rate * tree_apply(tree, x)
+    return out
+
+
 def training_curve(model, x, loss_of):
     """Training loss after each boosting round of the fitted gbt `model`: each
-    round's prediction is rebuilt from the model's trees (their `apply`, scaled
-    by the learning rate), and `loss_of` gives a prediction's loss."""
+    round's prediction is rebuilt from the model's trees (their `tree_apply`,
+    scaled by the learning rate), and `loss_of` gives a prediction's loss."""
     current = np.full(x.shape[0], model.init)
     losses = []
     for tree in model.trees:
-        current = current + model.spec.learning_rate * tree.apply(x)
+        current = current + model.spec.learning_rate * tree_apply(tree, x)
         losses.append(loss_of(current))
     return np.array(losses)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -241,10 +243,25 @@ def test_row_level_infeasibility_raises(build, monkeypatch):
         return out
 
     monkeypatch.setattr(constraints, "_dykstra", counted)
-    with pytest.raises(InfeasibleConstraintsError):
+    with pytest.raises(InfeasibleConstraintsError,
+                       match=r"infeasible .*: proved empty after \d+ sweeps"):
         build()
     # the certifier stops on a proof of emptiness, far short of its 5,000 sweeps
     assert 0 < sum(sweeps) <= 50
+
+
+def test_thin_feasible_set_is_reported_as_not_certified():
+    # two nearly parallel equalities meet at one point of the box: the set is
+    # not empty, but the Dykstra sweeps reach their cap before they reach it
+    a_eq = np.array([[1.0, 1.0], [1.0, 1.001]])
+    with pytest.raises(InfeasibleConstraintsError) as raised:
+        from_inequalities(np.zeros((0, 2)), np.zeros(0), 2, a_eq=a_eq,
+                          b_eq=a_eq @ np.array([0.3, 0.6]), lower=np.zeros(2), upper=np.ones(2))
+    message = str(raised.value)
+    assert message.startswith(
+        "constraint set (custom) not certified: no member found in 5000 sweeps")
+    assert 1e-9 < float(re.search(r"\(worst violation (\S+)\)$", message).group(1)) < 1e-3
+    assert "infeasible" not in message and "proved" not in message
 
 
 def test_no_early_emptiness_proof_for_a_set_holding_a_point(monkeypatch):

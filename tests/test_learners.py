@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from confit import learners
 from confit.errors import DataError
 from confit.learners import FittedModel, LearnerSpec, _leaf_value, fit, predict
 from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
-from oracles import (best_stump_brute, hat_matrix, huber_location_bisection, sorted_scan_tree,
-                     training_curve)
+from oracles import (best_stump_brute, hat_matrix, huber_location_bisection,
+                     predict_tree_by_tree, sorted_scan_tree, training_curve)
 
 HUBER = LossSpec("huber")
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
@@ -65,6 +68,45 @@ def test_ridge_refits_of_one_matrix_reuse_its_factor(monkeypatch):
     assert len(factored) == 1
     fit(RIDGE0, x, y, MSE, reuse)  # another lambda gets its own factor
     assert len(factored) == 2
+
+
+def _same_trees(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(s, name), getattr(t, name))
+        for s, t in zip(a, b) for name in ("feature", "threshold", "left", "right", "value"))
+
+
+@pytest.mark.parametrize("loss", (MSE, MAE, HUBER), ids=lambda s: s.kind)
+def test_gbt_refits_of_one_matrix_reuse_its_bins(loss, monkeypatch):
+    # refits that share a `reuse` dict bin their matrix once, and give the
+    # bits of fits that bin it afresh
+    rng = np.random.default_rng(6)
+    x = np.round(rng.uniform(0, 1, (80, 4)), 1)
+    y = rng.uniform(0, 1, 80)
+    spec = LearnerSpec("gbt", n_trees=12, max_depth=3, min_samples_leaf=4)
+    targets = [y + 0.05 * k * rng.standard_normal(y.size) for k in range(6)]
+    fresh = [fit(spec, x, target, loss) for target in targets]
+    other = dataclasses.replace(spec, min_samples_leaf=2)
+    fresh_other = fit(other, x, y, loss)
+    binned = []
+    monkeypatch.setattr(learners, "_bin_features",
+                        lambda m, _orig=learners._bin_features: binned.append(m) or _orig(m))
+    reuse = {}
+    for target, want in zip(targets, fresh):
+        got = fit(spec, x, target, loss, reuse)
+        assert _same_trees(got.trees, want.trees)
+        assert np.array_equal(got.train_prediction, want.train_prediction)
+        assert got.training_loss == want.training_loss
+    assert len(binned) == 1
+    got = fit(other, x, y, loss, reuse)  # another min_samples_leaf gets its own root entry
+    assert () in reuse[("gbt", 2)].levels and reuse[("gbt", 2)] is not reuse[("gbt", 4)]
+    assert _same_trees(got.trees, fresh_other.trees)
+    assert np.array_equal(got.train_prediction, fresh_other.train_prediction)
+    assert len(binned) == 1
+    monkeypatch.setattr(learners, "_KEPT_BYTES", 0)  # no level kept: the same bits
+    unkept = {}
+    assert _same_trees(fit(spec, x, targets[1], loss, unkept).trees, fresh[1].trees)
+    assert unkept[("gbt", 4)].levels == {}
 
 
 def test_ridge_prediction_is_hat_matrix_projection():
@@ -205,6 +247,38 @@ def test_gbt_huber_training_loss_never_increases(seed, m, rate):
     assert np.all(np.diff(np.concatenate([[start], curve])) <= 1e-12)
 
 
+@st.composite
+def ensembles_and_rows(draw):
+    """A fitted gbt model, cut to its first j trees (0 for an empty ensemble),
+    and query rows: training rows, rows with one coordinate set to a split
+    threshold, and rows outside the training range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    x = np.round(rng.uniform(0, 1, (n, d)), draw(st.integers(0, 2)))
+    y = draw(st.sampled_from([np.full(n, 0.4), rng.uniform(0, 1, n)]))  # constant: single leaves
+    spec = LearnerSpec("gbt", n_trees=draw(st.integers(1, 8)), max_depth=draw(st.integers(1, 4)),
+                       learning_rate=draw(st.sampled_from([0.1, 0.7, 1.0])),
+                       min_samples_leaf=draw(st.integers(1, 4)))
+    model = fit(spec, x, y, draw(st.sampled_from([MSE, MAE, HUBER])))
+    model = dataclasses.replace(model, trees=model.trees[:draw(st.integers(0, spec.n_trees))])
+    at_threshold = []
+    for tree in model.trees:
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                row = x[rng.integers(n)].copy()
+                row[f] = thr
+                at_threshold.append(row)
+    rows = [x, np.reshape(at_threshold, (-1, d)), rng.uniform(-2, 3, (5, d))]
+    return model, np.vstack(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ensembles_and_rows())
+def test_predict_matches_the_tree_by_tree_oracle(case):
+    model, rows = case
+    assert predict(model, rows).tobytes() == predict_tree_by_tree(model, rows).tobytes()
+
+
 def test_gbt_base_prediction_is_target_mean():
     rng = np.random.default_rng(11)
     x = rng.uniform(0, 1, (25, 2))
@@ -222,6 +296,24 @@ def test_gbt_rate_one_stump_is_two_level():
     model = fit(LearnerSpec("gbt", n_trees=1, max_depth=1, learning_rate=1.0,
                             min_samples_leaf=1), x, y, MSE)
     assert len(set(np.round(model.train_prediction, 12))) == 2
+
+
+@pytest.mark.parametrize("loss", (MSE, MAE, HUBER), ids=lambda s: s.kind)
+def test_gbt_splits_between_adjacent_floats(loss):
+    # the midpoint of these two adjacent floats rounds up to the higher one,
+    # which as a threshold would send every row left; the lower one splits
+    low = np.nextafter(1.0, 2.0)
+    high = np.nextafter(low, 2.0)
+    assert 0.5 * (low + high) == high
+    x = np.repeat([[low], [high]], 4, axis=0)
+    y = np.repeat([0.0, 1.0], 4)
+    spec = LearnerSpec("gbt", n_trees=1, max_depth=1, learning_rate=1.0, min_samples_leaf=1)
+    model = fit(spec, x, y, loss)
+    assert model.trees[0].threshold[0] == low
+    assert np.array_equal(model.train_prediction, y)
+    assert np.array_equal(predict(model, x), model.train_prediction)
+    tree, oracle = _tree_and_oracle(x, y, loss, 1, 1)
+    assert tree == oracle
 
 
 def test_gbt_tied_features_go_to_the_lowest_index():
