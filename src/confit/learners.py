@@ -216,8 +216,9 @@ class _KeptLevels:
     """Levels of the trees grown on one training matrix with one `min_leaf`,
     kept for later trees: the root level, and the level below each root
     split, as each row's node and slot and the level's `_candidates`, by the
-    split cells above the level. A level depends on nothing else. Levels are
-    kept while their arrays take at most `_KEPT_BYTES`."""
+    split cells above the level, which with the matrix and `min_leaf` are all
+    that a level depends on. Levels are kept while their arrays take at most
+    `_KEPT_BYTES`."""
     levels: dict = field(default_factory=dict)
     nbytes: int = 0
 
