@@ -85,14 +85,26 @@ def prox_unit(spec: LossSpec, t, v: np.ndarray, anchor: np.ndarray) -> np.ndarra
     if spec.kind == "mse":
         return (v + 2.0 * t * anchor) / (1.0 + 2.0 * t)
     if spec.kind == "mae":
-        d = v - anchor
-        return anchor + np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
+        return _shrink(v - anchor, t, anchor)
     m = spec.huber_m
     w = v - anchor
     thr = m * (1.0 + 2.0 * t)
     quad = w / (1.0 + 2.0 * t)
     lin = w - 2.0 * t * m * np.sign(w)
     return anchor + np.where(np.abs(w) <= thr, quad, lin)
+
+
+def _shrink(d: np.ndarray, t, anchor: np.ndarray) -> np.ndarray:
+    """anchor + sign(d) * max(|d| - t, 0) for a 1-D d, with the bits of that
+    expression, signed zeros included, from one new array: copysign gives
+    the zero of sign(d) * 0 except where d is -0.0, which v - anchor yields
+    only when anchor is +0.0, and anchor + -0.0 == anchor + 0.0 there."""
+    out = np.abs(d)
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, d, out=out)
+    out += anchor
+    return out
 
 
 def prox(spec: LossSpec, t: float, v: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -181,15 +193,16 @@ def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float)
         return center + d * np.sqrt(r2 / q)
     if spec.kind == "mae":
         r = n * beta
-        s = float(np.abs(d).sum())
-        if s <= r:
+        ad = np.abs(d)
+        if float(ad.sum()) <= r:
             return v.copy()
         # sort-based L1-ball projection
-        u = np.sort(np.abs(d))[::-1]
+        ad.sort()
+        u = ad[::-1]
         css = np.cumsum(u)
-        k = np.nonzero(u * np.arange(1, n + 1) > (css - r))[0][-1]
+        k = np.flatnonzero(u * np.arange(1, n + 1) > (css - r))[-1]
         theta = (css[k] - r) / (k + 1.0)
-        return center + np.sign(d) * np.maximum(np.abs(d) - theta, 0.0)
+        return _shrink(d, theta, center)
     # huber: the solution is prox_unit(nu) for the multiplier nu > 0 at which
     # excess(nu) = sum g(prox_unit(nu) - center) - n*beta, decreasing, is 0.
     # Coordinate k (|d| sorted ascending) is on g's linear piece, at distance

@@ -16,7 +16,16 @@ Two routes, picked automatically:
   Programming 2023), it restarts from the better of the current iterate and
   the average since the last restart, judged by the fixed-point residual,
   and at each restart it moves the primal weight omega that splits the step
-  into tau = eta/omega and sigma = eta*omega.
+  into tau = eta/omega and sigma = eta*omega. Where the objective is
+  piecewise linear (mae, plain or blended, without a trust ball), its
+  minimum is a vertex, and every 10 iterations the iteration tries OSQP's
+  polish (Stellato et al., Math. Programming Computation 2020): it holds the
+  coordinates on a kink or a bound, takes the equality rows and the rows
+  with a positive multiplier as tight, and, when these are as many as the
+  free coordinates, solves one square system for the vertex and its
+  transpose for the multipliers. The solve ends at one step from that
+  vertex if the step passes the usual residual test, and goes on unchanged
+  otherwise.
 
 The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
 the operator norm) and the Dykstra sweep live in `confit.constraints`, which
@@ -97,7 +106,7 @@ STEP_FRACTION = 0.95  # eta = STEP_FRACTION / ||K||, K the rows plus the ball bl
 
 
 def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
-          ball=None, anchor_start=None):
+          ball=None, anchor_start=None, kinks=None):
     """Restarted primal-dual iteration: primal prox on z (identity on aux),
     per-row dual ascent, optional loss-ball dual block, with the steps
     tau = eta/omega and sigma = eta*omega of the primal weight omega.
@@ -116,6 +125,12 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     check touches no restart bookkeeping, so a solve that goes on runs
     exactly as it would without it. Cold starts skip it: they never start at
     their answer.
+
+    `kinks`, when given, is ((anchor, weight), ...) for an objective
+    sum_j weight_j * |z - anchor_j|, which is piecewise linear. Its minimum
+    over the set is then a vertex, and every 10-iteration check first tries
+    to polish the iterate onto that vertex (`polish`). A polished point that
+    fails the exit test leaves the iteration as it was.
     """
     n, width, m = geom.n, geom.width, geom.m
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
@@ -174,6 +189,41 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         return (math.sqrt(float(p @ p) / width),
                 math.sqrt(dd / max(m + (n if ball is not None else 0), 1)))
 
+    def polish(x, y):
+        """The vertex that the active set of (x, y) names, and one step from
+        it, with that step's residual, if the step passes the exit test.
+
+        A coordinate is fixed on a kink (the prox sets it exactly) or on a
+        bound; the rest, auxiliaries with zero slope among them, are free. The
+        active rows are the equalities and the rows with a positive
+        multiplier. When they are as many as the free coordinates, one square
+        solve puts the free coordinates on the active rows, and the
+        transposed one gives the multipliers that balance the objective's
+        slope there; the other multipliers are 0."""
+        fixed = (x == lower) | (x == upper)
+        for anchor, _ in kinks:
+            fixed[:n] |= x[:n] == anchor
+        held, free = np.flatnonzero(fixed), np.flatnonzero(~fixed)
+        active = np.flatnonzero(y > y_floor)
+        if active.size != free.size:
+            return None
+        slope = np.zeros(width)
+        for anchor, weight in kinks:
+            slope[:n] += weight * np.sign(x[:n] - anchor)
+        basis = a[np.ix_(active, free)]
+        try:
+            x_free = np.linalg.solve(basis, b[active] - a[np.ix_(active, held)] @ x[held])
+            y_active = np.linalg.solve(basis.T, -slope[free])
+        except np.linalg.LinAlgError:
+            return None  # a singular active set
+        xp = x.copy()
+        xp[free] = x_free
+        yp = np.zeros(m)
+        yp[active] = y_active
+        stepped = step(xp, yp, None)
+        pri, dua = residual(xp, yp, None, *stepped)
+        return (stepped, pri, dua) if pri <= tol and dua <= tol else None
+
     tau, sig = eta / omega, eta * omega
     x0, y0, yb0 = x, y, yb  # the last restart point
     x_sum, y_sum = np.zeros(width), np.zeros(m)
@@ -198,6 +248,10 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
             break
         if not checked:
             continue  # a resumed solve's first step is checked for the exit only
+        polished = None if kinks is None else polish(x, y)
+        if polished is not None:
+            (x, y, yb), pri, dua = polished
+            break
         xa, ya = x_sum / since, y_sum / since
         yba = yb_sum / since if ball is not None else None
         avg = step(xa, ya, yba)
@@ -263,7 +317,8 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
         geom, lambda v, t: prox_unit(loss, t, v, anchor),
         opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
         ball=None if ball is None else (*ball, loss),
-        anchor_start=anchor if ball is None else center)
+        anchor_start=anchor if ball is None else center,
+        kinks=((anchor, 1.0),) if loss.kind == "mae" and ball is None else None)
     return SolverReport(x[:cs.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg" + suffix, state)
 
@@ -297,7 +352,8 @@ def project_blend(loss: LossSpec, target, prediction, weight: float,
     x, pri, dua, it, state = _pdhg(
         geom, lambda v, t: prox_pair(loss, t, v, target, prediction, weight),
         opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
-        anchor_start=target)
+        anchor_start=target,
+        kinks=((target, 1.0), (prediction, weight)) if loss.kind == "mae" else None)
     return SolverReport(x[:constraints.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg-blend", state)
 

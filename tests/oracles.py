@@ -389,7 +389,7 @@ def pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state=None, ball=Non
 
 
 def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                   project_ball=None):
+                   project_ball=None, kinks=None):
     """The restarted primal-dual iteration written out plainly: fresh arrays
     every step, the inequality multipliers clipped at 0 through a mask, and
     the restart rules of Applegate et al. (2021) spelled out with their
@@ -401,6 +401,17 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     primal movement). Steps are tau = eta/omega, sigma = eta*omega with
     eta = 0.95/||K||. A solve that resumes a state also checks the residual
     of its first step, and stops there when it is within tol.
+
+    With `kinks`, ((anchor, weight), ...) of a piecewise-linear objective
+    sum_j weight_j * |z - anchor_j|, each 10-iteration check first polishes
+    the iterate, as OSQP does (Stellato et al. 2020): coordinates on an
+    anchor or a bound are held, the equality rows and the rows with a
+    positive multiplier are taken as tight, and when they are as many as the
+    free coordinates, a square solve gives the vertex and its
+    transposed solve the multipliers that balance the slope there. The solve
+    stops at one step from that vertex when the step's residual is within
+    tol. Without `kinks` this is the restarted iteration alone, the oracle
+    that the polished answers are checked against at tolerance.
 
     Arguments are those of `pdhg_unrestarted_reference`; the state carries
     omega in place of tau and sigma.
@@ -459,6 +470,35 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
             count += n
         return math.sqrt(float(p @ p) / width), math.sqrt(dd / max(count, 1))
 
+    def polish(z, tau, sig):
+        x, y, _ = z
+        held, free = [], []
+        for k in range(width):
+            on_kink = k < n and any(x[k] == anchor[k] for anchor, _ in kinks)
+            on_bound = x[k] == geom.lower[k] or x[k] == geom.upper[k]
+            (held if on_kink or on_bound else free).append(k)
+        tight = [i for i in range(m) if eq_mask[i] or y[i] > 0.0]
+        if len(tight) != len(free):
+            return None
+        # minus the objective's slope at each free coordinate, 0 on an auxiliary
+        minus_slope = np.array([-sum(weight * np.sign(x[k] - anchor[k]) for anchor, weight in kinks)
+                                if k < n else -0.0 for k in free])
+        basis = geom.a[np.ix_(tight, free)]
+        rhs = geom.b[tight] - geom.a[np.ix_(tight, held)] @ x[held]
+        try:
+            vertex = np.linalg.solve(basis, rhs)
+            multipliers = np.linalg.solve(basis.T, minus_slope)
+        except np.linalg.LinAlgError:
+            return None
+        x_vertex = x.copy()
+        x_vertex[free] = vertex
+        y_vertex = np.zeros(m)
+        y_vertex[tight] = multipliers
+        z_vertex = (x_vertex, y_vertex, None)
+        z_next = step(*z_vertex, tau, sig)
+        pri, dua = residual(z_vertex, z_next, tau, sig)
+        return (z_next, pri, dua) if pri <= tol and dua <= tol else None
+
     z = (x, y, yb)
     tau, sig = eta / omega, eta * omega
     z_restart = z
@@ -481,6 +521,10 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
             continue
         pri, dua = residual(z_old, z, tau, sig)
         if pri <= tol and dua <= tol:
+            break
+        polished = polish(z, tau, sig) if kinks is not None else None
+        if polished is not None:
+            z, pri, dua = polished
             break
         z_avg = tuple(None if total is None else total / since for total in sums)
         z_avg_step = step(*z_avg, tau, sig)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import confit.constraints as constraints
 import confit.solver as solver
@@ -19,11 +19,13 @@ ALL = (MSE, MAE, HUBER)
 TIGHT = SolverOptions(tolerance=1e-9, max_iterations=100000)
 
 
-def random_polytope(rng, n, m, margin=(0.05, 0.45)):
+def random_polytope(rng, n, m, margin=(0.05, 0.45), equalities=0):
     a = rng.standard_normal((m, n))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b = a @ np.full(n, 0.5) + rng.uniform(*margin, size=m)
-    return from_inequalities(a, b, n, lower=np.zeros(n), upper=np.ones(n))
+    a_eq = rng.standard_normal((equalities, n))
+    return from_inequalities(a, b, n, a_eq=a_eq, b_eq=a_eq @ np.full(n, 0.5),
+                             lower=np.zeros(n), upper=np.ones(n))
 
 
 def box2(lo=0.0, hi=1.0):
@@ -408,9 +410,10 @@ def test_pdhg_matches_reference_bit_for_bit(route, cs, solve, objective, ball, o
     if warm.converged:
         assert again.iterations == 1
 
-    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None):
+    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
+                  kinks=None):
         return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
-                              project_ball)
+                              project_ball, kinks)
 
     monkeypatch.setattr(solver, "_pdhg", reference)
     cold_ref = solve(opts, None, 0.0)
@@ -437,7 +440,8 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
         again = solve(PDHG_CONVERGING, rep.state, shift)
         assert again.converged and (again.iterations == 1 or again.iterations < rep.iterations)
 
-    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None):
+    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
+                  kinks=None):
         return pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state, ball,
                                           anchor_start, project_ball)
 
@@ -456,7 +460,8 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
 
 def test_restarts_end_the_heavy_tail_of_mae_solves():
     # the slowest mae solve of the benchmark's polytope probes: 26,580
-    # iterations under the earlier rebalanced PDHG, 1,770 with restarts
+    # iterations under the earlier rebalanced PDHG, 1,770 with restarts,
+    # 240 once the restarted iterate is polished onto its vertex
     rng = np.random.default_rng(4000)
     d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
     rng.uniform(0, 1, (50, d + 1))  # the instance's data, drawn before its rows
@@ -468,6 +473,102 @@ def test_restarts_end_the_heavy_tail_of_mae_solves():
     rep = project(ProjectionProblem(MAE, anchor, cs),
                   SolverOptions(tolerance=1e-9, max_iterations=5000))
     assert rep.method == "pdhg" and rep.converged
+    assert rep.iterations <= 300
+
+
+def _patched_pdhg(monkeypatch, polished):
+    """Route the primal-dual solves through `pdhg_reference`: the polished
+    iteration, or the restarted one alone."""
+    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
+                  kinks=None):
+        return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
+                              project_ball, kinks if polished else None)
+
+    monkeypatch.setattr(solver, "_pdhg", reference)
+
+
+def _mae_solve(route, cs, prediction, weight):
+    """solve(target, warm, opts=TIGHT) on a piecewise-linear route."""
+    if route == "pdhg":
+        return lambda target, warm, opts=TIGHT: project(
+            ProjectionProblem(MAE, target, cs), opts, warm)
+    return lambda target, warm, opts=TIGHT: project_blend(
+        MAE, target, prediction, weight, cs, opts, warm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       route=st.sampled_from(["pdhg", "pdhg-blend"]), equalities=st.integers(0, 1),
+       didi=st.booleans(), weight=st.sampled_from([0.5, 1.0, 3.0]))
+@example(seed=127532060, n=2, m=5, route="pdhg-blend", equalities=1, didi=False, weight=3.0)
+def test_polished_mae_solves_match_the_unpolished_oracle(seed, n, m, route, equalities, didi,
+                                                         weight):
+    # cold, then warm from the polished cold state on a drifted anchor. The
+    # unpolished oracle runs the same iteration without the polish exit, so
+    # it can only take longer. Its answers at 1e-11 check the objective: at
+    # 1e-9 its point can miss a row by 1.6e-9 and undercut the vertex by
+    # 1.2e-8 (the explicit example)
+    rng = np.random.default_rng(seed)
+    cs = random_polytope(rng, n, m, equalities=equalities)
+    if didi:  # auxiliary columns: free, with zero slope
+        groups = {0: np.arange(n // 2), 1: np.arange(n // 2, n)}
+        cs = intersect(cs, build_didi_constraints((ProtectedSpec(0, groups),), 0.05, n))
+    anchor = rng.uniform(-0.5, 1.5, n)
+    anchor[0] = -0.5  # outside the box, so never already feasible
+    drifted = np.clip(anchor + rng.uniform(-0.05, 0.05, n), -1, 2)
+    prediction = rng.uniform(0, 1, n)
+    solve = _mae_solve(route, cs, prediction, weight)
+
+    def objective(z, target):
+        value = loss_value(MAE, z, target)
+        return value if route == "pdhg" else value + weight * loss_value(MAE, z, prediction)
+
+    cold = solve(anchor, None)
+    warm = solve(drifted, cold.state)
+    with pytest.MonkeyPatch.context() as patch:
+        _patched_pdhg(patch, polished=True)
+        cold_ref = solve(anchor, None)
+        _same_report(cold, cold_ref)
+        _same_report(warm, solve(drifted, cold_ref.state))
+        _patched_pdhg(patch, polished=False)
+        unpolished = [(solve(anchor, None, opts), solve(drifted, cold.state, opts))
+                      for opts in (TIGHT, SolverOptions(tolerance=1e-11, max_iterations=100000))]
+    for target, rep, want, finer in zip((anchor, drifted), (cold, warm), *unpolished):
+        assert rep.method == want.method == route
+        assert rep.converged and want.converged and finer.converged
+        assert is_member(cs, rep.solution, tol=1e-8)
+        assert objective(rep.solution, target) == pytest.approx(
+            objective(finer.solution, target), abs=1e-8)
+        assert rep.iterations <= want.iterations
+
+
+@pytest.mark.parametrize("route", ["pdhg", "pdhg-blend"])
+def test_a_singular_active_set_leaves_the_solve_unpolished(route, monkeypatch):
+    # every row twice: the two copies always carry the same multiplier, so
+    # an active set holds both or neither, and its square system is singular
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 6))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = a @ np.full(6, 0.5) + rng.uniform(0.05, 0.45, 4)
+    cs = from_inequalities(np.vstack([a, a]), np.concatenate([b, b]), 6,
+                           lower=np.zeros(6), upper=np.ones(6))
+    anchor = rng.uniform(-0.5, 1.5, 6)
+    solve = _mae_solve(route, cs, rng.uniform(0, 1, 6), 0.5)
+    singular = []
+    linalg_solve = np.linalg.solve
+
+    def counting(basis, rhs):
+        try:
+            return linalg_solve(basis, rhs)
+        except np.linalg.LinAlgError:
+            singular.append(basis.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    got = solve(anchor, None)
+    assert got.converged and singular
+    _patched_pdhg(monkeypatch, polished=False)
+    _same_report(got, solve(anchor, None))
 
 
 PDHG_ROUTES = [("pdhg", MAE), ("pdhg", HUBER), ("pdhg-ball", MAE), ("pdhg-ball", HUBER),
