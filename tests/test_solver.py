@@ -410,12 +410,7 @@ def test_pdhg_matches_reference_bit_for_bit(route, cs, solve, objective, ball, o
     if warm.converged:
         assert again.iterations == 1
 
-    def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                  kinks=None):
-        return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
-                              project_ball, kinks)
-
-    monkeypatch.setattr(solver, "_pdhg", reference)
+    _patched_pdhg(monkeypatch, polished=True)
     cold_ref = solve(opts, None, 0.0)
     _same_report(cold, cold_ref)
     warm_ref = solve(opts, cold_ref.state, 0.01)
@@ -458,10 +453,11 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
             objective(want.solution, shift), abs=1e-8)
 
 
-def test_restarts_end_the_heavy_tail_of_mae_solves():
+def test_restarts_end_the_heavy_tail_of_mae_solves(monkeypatch):
     # the slowest mae solve of the benchmark's polytope probes: 26,580
     # iterations under the earlier rebalanced PDHG, 1,770 with restarts,
-    # 240 once the restarted iterate is polished onto its vertex
+    # 240 once the restarted iterate is polished onto its vertex, with the
+    # bits of the polished oracle
     rng = np.random.default_rng(4000)
     d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
     rng.uniform(0, 1, (50, d + 1))  # the instance's data, drawn before its rows
@@ -470,10 +466,12 @@ def test_restarts_end_the_heavy_tail_of_mae_solves():
     b = a @ np.full(50, 0.5) + rng.uniform(0.05, 0.4, m)
     cs = from_inequalities(a, b, 50, lower=np.zeros(50), upper=np.ones(50))
     anchor = np.random.default_rng(0).uniform(-0.5, 1.5, (3, 50))[2]
-    rep = project(ProjectionProblem(MAE, anchor, cs),
-                  SolverOptions(tolerance=1e-9, max_iterations=5000))
+    opts = SolverOptions(tolerance=1e-9, max_iterations=5000)
+    rep = project(ProjectionProblem(MAE, anchor, cs), opts)
     assert rep.method == "pdhg" and rep.converged
     assert rep.iterations <= 300
+    _patched_pdhg(monkeypatch, polished=True)
+    _same_report(rep, project(ProjectionProblem(MAE, anchor, cs), opts))
 
 
 def _patched_pdhg(monkeypatch, polished):
