@@ -16,16 +16,18 @@ Two routes, picked automatically:
   Programming 2023), it restarts from the better of the current iterate and
   the average since the last restart, judged by the fixed-point residual,
   and at each restart it moves the primal weight omega that splits the step
-  into tau = eta/omega and sigma = eta*omega. Where the objective is
-  piecewise linear (mae, plain or blended, without a trust ball), its
-  minimum is a vertex, and every 10 iterations the iteration tries OSQP's
-  polish (Stellato et al., Math. Programming Computation 2020): it holds the
-  coordinates on a kink or a bound, takes the equality rows and the rows
-  with a positive multiplier as tight, and, when these are as many as the
-  free coordinates, solves one square system for the vertex and its
-  transpose for the multipliers. The solve ends at one step from that
-  vertex if the step passes the usual residual test, and goes on unchanged
-  otherwise.
+  into tau = eta/omega and sigma = eta*omega. Every 10 iterations, where the
+  objective is mae without a trust ball or mse (plain, blended or in its
+  ball), the iteration also tries OSQP's polish (Stellato et al., Math.
+  Programming Computation 2020): it holds the coordinates on a bound (and,
+  for mae, on a kink), takes the equality rows and the rows with a positive
+  multiplier as tight, and computes the optimum on that active set
+  directly. The mae objective is piecewise linear and its optimum a vertex:
+  one square solve for the point and its transpose for the multipliers. The
+  mse objective is a quadratic: one small linear solve for the multipliers
+  and the free auxiliaries, and inside the ball a scalar quadratic for the
+  ball's multiplier. The solve ends at one step from that point if the step
+  passes the usual residual test, and goes on unchanged otherwise.
 
 The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
 the operator norm) and the Dykstra sweep live in `confit.constraints`, which
@@ -106,7 +108,7 @@ STEP_FRACTION = 0.95  # eta = STEP_FRACTION / ||K||, K the rows plus the ball bl
 
 
 def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
-          ball=None, anchor_start=None, kinks=None):
+          ball=None, anchor_start=None, objective=None):
     """Restarted primal-dual iteration: primal prox on z (identity on aux),
     per-row dual ascent, optional loss-ball dual block, with the steps
     tau = eta/omega and sigma = eta*omega of the primal weight omega.
@@ -126,11 +128,12 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     exactly as it would without it. Cold starts skip it: they never start at
     their answer.
 
-    `kinks`, when given, is ((anchor, weight), ...) for an objective
-    sum_j weight_j * |z - anchor_j|, which is piecewise linear. Its minimum
-    over the set is then a vertex, and every 10-iteration check first tries
-    to polish the iterate onto that vertex (`polish`). A polished point that
-    fails the exit test leaves the iteration as it was.
+    `objective`, when given, describes the loss for the polish: ("mae",
+    ((anchor, weight), ...)) for sum_j weight_j * |z - anchor_j|, which is
+    piecewise linear, or ("mse", (q, c)) for c * |z - q|^2, with `ball`, if
+    any, the mse ball. Every 10-iteration check then first tries to polish
+    the iterate onto the optimum of its active set (`polish`). A polished
+    point that fails the exit test leaves the iteration as it was.
     """
     n, width, m = geom.n, geom.width, geom.m
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
@@ -190,38 +193,76 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                 math.sqrt(dd / max(m + (n if ball is not None else 0), 1)))
 
     def polish(x, y):
-        """The vertex that the active set of (x, y) names, and one step from
+        """The optimum that the active set of (x, y) names, and one step from
         it, with that step's residual, if the step passes the exit test.
 
-        A coordinate is fixed on a kink (the prox sets it exactly) or on a
-        bound; the rest, auxiliaries with zero slope among them, are free. The
-        active rows are the equalities and the rows with a positive
-        multiplier. When they are as many as the free coordinates, one square
-        solve puts the free coordinates on the active rows, and the
-        transposed one gives the multipliers that balance the objective's
-        slope there; the other multipliers are 0."""
+        A coordinate on a bound is held, and so, under mae, is one on a kink
+        (the prox sets both exactly); the rest, auxiliaries among them, are
+        free. The active rows are the equalities and the rows with a
+        positive multiplier. Under mae, when they are as many as the free
+        coordinates, one square solve puts the free coordinates on the active
+        rows, and the transposed one gives the multipliers that balance the
+        objective's slope there. Under mse, the free z are p - A_z^T yh and
+        the free auxiliaries, with zero curvature, have A_u^T yh = 0, which
+        with the active rows is one square system in (yh, u) per target p:
+        p = q without a ball. With the ball, p = s q + (1 - s) center, so the
+        point is affine in s, and s is the root of the quadratic that puts it
+        on the ball, or 1 when the ball is slack there; its multiplier is
+        lambda = c (1 - s) / s. Then y = 2 (c + lambda) yh and
+        yb = 2 lambda (z - center). The other multipliers are 0."""
+        kind, data = objective
         fixed = (x == lower) | (x == upper)
-        for anchor, _ in kinks:
-            fixed[:n] |= x[:n] == anchor
+        if kind == "mae":
+            for anchor, _ in data:
+                fixed[:n] |= x[:n] == anchor
         held, free = np.flatnonzero(fixed), np.flatnonzero(~fixed)
         active = np.flatnonzero(y > y_floor)
-        if active.size != free.size:
-            return None
-        slope = np.zeros(width)
-        for anchor, weight in kinks:
-            slope[:n] += weight * np.sign(x[:n] - anchor)
-        basis = a[np.ix_(active, free)]
+        rhs = b[active] - a[np.ix_(active, held)] @ x[held]
+        xp, yp, ybp = x.copy(), np.zeros(m), None
         try:
-            x_free = np.linalg.solve(basis, b[active] - a[np.ix_(active, held)] @ x[held])
-            y_active = np.linalg.solve(basis.T, -slope[free])
+            if kind == "mae":
+                if active.size != free.size:
+                    return None
+                slope = np.zeros(width)
+                for anchor, weight in data:
+                    slope[:n] += weight * np.sign(x[:n] - anchor)
+                basis = a[np.ix_(active, free)]
+                xp[free] = np.linalg.solve(basis, rhs)
+                yp[active] = np.linalg.solve(basis.T, -slope[free])
+            else:
+                q, c = data
+                zf, uf = free[free < n], free[free >= n]
+                a_z, a_u = a[np.ix_(active, zf)], a[np.ix_(active, uf)]
+                p = q[zf, None] if ball is None else np.column_stack([q[zf], center[zf]])
+                kkt = np.block([[-(a_z @ a_z.T), a_u], [a_u.T, np.zeros((uf.size, uf.size))]])
+                sol = np.linalg.solve(kkt, np.vstack([rhs[:, None] - a_z @ p,
+                                                      np.zeros((uf.size, p.shape[1]))]))
+                yh, u = sol[:active.size], sol[active.size:]
+                z = p - a_z.T @ yh
+                s = 1.0
+                if ball is not None:
+                    hz = held[held < n]
+                    outside = float((x[hz] - center[hz]) @ (x[hz] - center[hz])) - n * beta
+                    d0, d1 = z[:, 1] - center[zf], z[:, 0] - z[:, 1]
+                    # |d0 + s d1|^2 + outside = a2 s^2 + 2 b1 s + c0, with a root in
+                    # (0, 1) when the ball cuts the segment
+                    a2, b1, c0 = float(d1 @ d1), float(d0 @ d1), float(d0 @ d0) + outside
+                    if a2 + 2.0 * b1 + c0 > 0.0:
+                        if not c0 < 0.0:
+                            return None
+                        s = -c0 / (b1 + math.sqrt(b1 * b1 - a2 * c0))
+                    z, u, yh = (s * v[:, 0] + (1.0 - s) * v[:, 1] for v in (z, u, yh))
+                    xp[zf] = z
+                    ybp = 2.0 * (c * (1.0 - s) / s) * (xp[:n] - center)
+                else:
+                    xp[zf] = z[:, 0]
+                    u, yh = u[:, 0], yh[:, 0]
+                xp[uf] = u
+                yp[active] = 2.0 * (c / s) * yh
         except np.linalg.LinAlgError:
             return None  # a singular active set
-        xp = x.copy()
-        xp[free] = x_free
-        yp = np.zeros(m)
-        yp[active] = y_active
-        stepped = step(xp, yp, None)
-        pri, dua = residual(xp, yp, None, *stepped)
+        stepped = step(xp, yp, ybp)
+        pri, dua = residual(xp, yp, ybp, *stepped)
         return (stepped, pri, dua) if pri <= tol and dua <= tol else None
 
     tau, sig = eta / omega, eta * omega
@@ -248,7 +289,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
             break
         if not checked:
             continue  # a resumed solve's first step is checked for the exit only
-        polished = None if kinks is None else polish(x, y)
+        polished = None if objective is None else polish(x, y)
         if polished is not None:
             (x, y, yb), pri, dua = polished
             break
@@ -318,7 +359,8 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
         opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
         ball=None if ball is None else (*ball, loss),
         anchor_start=anchor if ball is None else center,
-        kinks=((anchor, 1.0),) if loss.kind == "mae" and ball is None else None)
+        objective=("mse", (anchor, 1.0)) if loss.kind == "mse"
+        else ("mae", ((anchor, 1.0),)) if loss.kind == "mae" and ball is None else None)
     return SolverReport(x[:cs.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg" + suffix, state)
 
@@ -353,7 +395,9 @@ def project_blend(loss: LossSpec, target, prediction, weight: float,
         geom, lambda v, t: prox_pair(loss, t, v, target, prediction, weight),
         opts.tolerance, opts.max_iterations, state=warm if opts.warm_start else None,
         anchor_start=target,
-        kinks=((target, 1.0), (prediction, weight)) if loss.kind == "mae" else None)
+        objective=("mae", ((target, 1.0), (prediction, weight))) if loss.kind == "mae"
+        else ("mse", ((target + weight * prediction) / (1.0 + weight), 1.0 + weight))
+        if loss.kind == "mse" else None)
     return SolverReport(x[:constraints.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg-blend", state)
 

@@ -389,7 +389,7 @@ def pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state=None, ball=Non
 
 
 def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                   project_ball=None, kinks=None):
+                   project_ball=None, objective=None):
     """The restarted primal-dual iteration written out plainly: fresh arrays
     every step, the inequality multipliers clipped at 0 through a mask, and
     the restart rules of Applegate et al. (2021) spelled out with their
@@ -402,16 +402,21 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     eta = 0.95/||K||. A solve that resumes a state also checks the residual
     of its first step, and stops there when it is within tol.
 
-    With `kinks`, ((anchor, weight), ...) of a piecewise-linear objective
-    sum_j weight_j * |z - anchor_j|, each 10-iteration check first polishes
-    the iterate, as OSQP does (Stellato et al. 2020): coordinates on an
-    anchor or a bound are held, the equality rows and the rows with a
-    positive multiplier are taken as tight, and when they are as many as the
-    free coordinates, a square solve gives the vertex and its
-    transposed solve the multipliers that balance the slope there. The solve
-    stops at one step from that vertex when the step's residual is within
-    tol. Without `kinks` this is the restarted iteration alone, the oracle
-    that the polished answers are checked against at tolerance.
+    With an `objective`, each 10-iteration check first polishes the iterate,
+    as OSQP does (Stellato et al. 2020): coordinates on a bound are held, the
+    equality rows and the rows with a positive multiplier are taken as
+    tight, and the optimum of the objective on that active set is computed
+    directly. ("mae", ((anchor, weight), ...)) is the piecewise-linear
+    objective sum_j weight_j * |z - anchor_j|: coordinates on an anchor are
+    held too, and when the tight rows are as many as the free coordinates, a
+    square solve gives the vertex and its transposed solve the multipliers
+    that balance the slope there. ("mse", (q, c)) is c * |z - q|^2: the free
+    coordinates minimize it on the tight rows, inside the mse `ball` if there
+    is one, where its multiplier lambda >= 0 is the root of the ball's
+    equation, or 0 when the ball is slack. The solve stops at one step from
+    the polished point when the step's residual is within tol. Without an
+    `objective` this is the restarted iteration alone, the oracle that the
+    polished answers are checked against at tolerance.
 
     Arguments are those of `pdhg_unrestarted_reference`; the state carries
     omega in place of tau and sigma.
@@ -470,33 +475,88 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
             count += n
         return math.sqrt(float(p @ p) / width), math.sqrt(dd / max(count, 1))
 
-    def polish(z, tau, sig):
-        x, y, _ = z
-        held, free = [], []
-        for k in range(width):
-            on_kink = k < n and any(x[k] == anchor[k] for anchor, _ in kinks)
-            on_bound = x[k] == geom.lower[k] or x[k] == geom.upper[k]
-            (held if on_kink or on_bound else free).append(k)
-        tight = [i for i in range(m) if eq_mask[i] or y[i] > 0.0]
+    def vertex(x, held, free, tight, rhs, kinks):
+        # the square solve for the vertex, its transpose for the multipliers
         if len(tight) != len(free):
             return None
         # minus the objective's slope at each free coordinate, 0 on an auxiliary
         minus_slope = np.array([-sum(weight * np.sign(x[k] - anchor[k]) for anchor, weight in kinks)
                                 if k < n else -0.0 for k in free])
         basis = geom.a[np.ix_(tight, free)]
+        x_vertex = x.copy()
+        x_vertex[free] = np.linalg.solve(basis, rhs)
+        y_vertex = np.zeros(m)
+        y_vertex[tight] = np.linalg.solve(basis.T, minus_slope)
+        return x_vertex, y_vertex, None
+
+    def quadratic_optimum(x, held, free, tight, rhs, q, c):
+        # the free z are p - A_z^T yh and the free auxiliaries u satisfy
+        # A_u^T yh = 0; with the tight rows as equalities this is one square
+        # system per target p, solved for q and, with a ball, its center
+        z_free = [k for k in free if k < n]
+        aux_free = [k for k in free if k >= n]
+        rows, size = len(tight), len(tight) + len(aux_free)
+        a_z = geom.a[np.ix_(tight, z_free)]
+        a_u = geom.a[np.ix_(tight, aux_free)]
+        targets = np.column_stack([q[z_free]] + ([ball[0][z_free]] if ball is not None else []))
+        kkt = np.zeros((size, size))
+        kkt[:rows, :rows] = -(a_z @ a_z.T)
+        kkt[:rows, rows:] = a_u
+        kkt[rows:, :rows] = a_u.T
+        right = np.zeros((size, targets.shape[1]))
+        right[:rows] = rhs[:, None] - a_z @ targets
+        solution = np.linalg.solve(kkt, right)
+        yh, u = solution[:rows], solution[rows:]
+        z_at = targets - a_z.T @ yh  # the free z at each target
+        s = 1.0  # the weight of q in the target p = s q + (1 - s) center
+        yb_opt = None
+        if ball is not None:
+            center, beta, _ = ball
+            z_held = [k for k in held if k < n]
+            outside = float((x[z_held] - center[z_held]) @ (x[z_held] - center[z_held])) - n * beta
+            from_center = z_at[:, 1] - center[z_free]
+            along = z_at[:, 0] - z_at[:, 1]
+            # the ball's excess at weight s is a2 s^2 + 2 b1 s + c0
+            a2 = float(along @ along)
+            b1 = float(from_center @ along)
+            c0 = float(from_center @ from_center) + outside
+            if a2 + 2.0 * b1 + c0 > 0.0:  # outside the ball at s = 1
+                if not c0 < 0.0:
+                    return None  # outside it at s = 0 too
+                s = -c0 / (b1 + math.sqrt(b1 * b1 - a2 * c0))  # the root in (0, 1)
+        x_opt = x.copy()
+        y_opt = np.zeros(m)
+        if ball is None:
+            x_opt[z_free] = z_at[:, 0]
+            x_opt[aux_free] = u[:, 0]
+            y_opt[tight] = 2.0 * (c / s) * yh[:, 0]
+        else:
+            x_opt[z_free] = s * z_at[:, 0] + (1.0 - s) * z_at[:, 1]
+            x_opt[aux_free] = s * u[:, 0] + (1.0 - s) * u[:, 1]
+            y_opt[tight] = 2.0 * (c / s) * (s * yh[:, 0] + (1.0 - s) * yh[:, 1])
+            lam = c * (1.0 - s) / s  # the ball multiplier
+            yb_opt = 2.0 * lam * (x_opt[:n] - center)
+        return x_opt, y_opt, yb_opt
+
+    def polish(z, tau, sig):
+        x, y, _ = z
+        kind, data = objective
+        held, free = [], []
+        for k in range(width):
+            on_kink = kind == "mae" and k < n and any(x[k] == anchor[k] for anchor, _ in data)
+            on_bound = x[k] == geom.lower[k] or x[k] == geom.upper[k]
+            (held if on_kink or on_bound else free).append(k)
+        tight = [i for i in range(m) if eq_mask[i] or y[i] > 0.0]
         rhs = geom.b[tight] - geom.a[np.ix_(tight, held)] @ x[held]
         try:
-            vertex = np.linalg.solve(basis, rhs)
-            multipliers = np.linalg.solve(basis.T, minus_slope)
+            z_opt = vertex(x, held, free, tight, rhs, data) if kind == "mae" \
+                else quadratic_optimum(x, held, free, tight, rhs, *data)
         except np.linalg.LinAlgError:
             return None
-        x_vertex = x.copy()
-        x_vertex[free] = vertex
-        y_vertex = np.zeros(m)
-        y_vertex[tight] = multipliers
-        z_vertex = (x_vertex, y_vertex, None)
-        z_next = step(*z_vertex, tau, sig)
-        pri, dua = residual(z_vertex, z_next, tau, sig)
+        if z_opt is None:
+            return None
+        z_next = step(*z_opt, tau, sig)
+        pri, dua = residual(z_opt, z_next, tau, sig)
         return (z_next, pri, dua) if pri <= tol and dua <= tol else None
 
     z = (x, y, yb)
@@ -522,7 +582,7 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
         pri, dua = residual(z_old, z, tau, sig)
         if pri <= tol and dua <= tol:
             break
-        polished = polish(z, tau, sig) if kinks is not None else None
+        polished = polish(z, tau, sig) if objective is not None else None
         if polished is not None:
             z, pri, dua = polished
             break

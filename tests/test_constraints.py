@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import confit.constraints as constraints
 from confit.constraints import (build_box, build_didi_constraints,
@@ -125,6 +126,28 @@ def test_didi_with_epsilon_of_y_admits_y():
         y = rng.uniform(0, 1, n)
         cs = build_didi_constraints(protected, didi_value(y, protected), n)
         assert is_member(cs, y, tol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), n_features=st.integers(1, 2),
+       offset=st.sampled_from([0.0]) | st.floats(-1e-5, 1e-5), tol=st.sampled_from([1e-9, 1e-6]))
+def test_didi_membership_holds_exactly_when_the_index_is_within_epsilon(seed, n, n_features,
+                                                                        offset, tol):
+    # the encoding's members are the z with didi_value(z) <= epsilon. At
+    # membership tolerance tol it also admits the z past epsilon by up to
+    # sqrt(k) * tol, k the auxiliaries: the budget row sum(u) <= epsilon is
+    # scaled to unit norm. The 1e-12 covers rounding in the two sums
+    rng = np.random.default_rng(seed)
+    protected = random_protected(rng, n, n_features=n_features)
+    z = rng.uniform(-0.5, 1.5, n)
+    value = didi_value(z, protected)
+    epsilon = max(value + offset, 0.0)
+    cs = build_didi_constraints(protected, epsilon, n)
+    margin = np.sqrt(cs.n_aux) * tol + 1e-12
+    if value <= epsilon:
+        assert is_member(cs, z, tol=tol)
+    elif value > epsilon + margin:
+        assert not is_member(cs, z, tol=tol)
 
 
 def test_didi_epsilon_fraction_rule():

@@ -436,13 +436,15 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
         assert again.converged and (again.iterations == 1 or again.iterations < rep.iterations)
 
     def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                  kinks=None):
+                  objective=None):
         return pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state, ball,
                                           anchor_start, project_ball)
 
+    # the oracle runs to 1e-12, where its own objective error on these cases
+    # is at most 1.1e-12, well under the abs 1e-8 below (up to 1.3e-9 at 1e-9)
     monkeypatch.setattr(solver, "_pdhg", reference)
     for shift, rep in finished:
-        want = solve(SolverOptions(tolerance=1e-9, max_iterations=100000), None, shift)
+        want = solve(SolverOptions(tolerance=1e-12, max_iterations=100000), None, shift)
         assert want.converged
         assert is_member(cs, rep.solution, tol=1e-8)
         if ball is not None:
@@ -478,20 +480,31 @@ def _patched_pdhg(monkeypatch, polished):
     """Route the primal-dual solves through `pdhg_reference`: the polished
     iteration, or the restarted one alone."""
     def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                  kinks=None):
+                  objective=None):
         return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
-                              project_ball, kinks if polished else None)
+                              project_ball, objective if polished else None)
 
     monkeypatch.setattr(solver, "_pdhg", reference)
 
 
-def _mae_solve(route, cs, prediction, weight):
-    """solve(target, warm, opts=TIGHT) on a piecewise-linear route."""
+def _route_solve(spec, route, cs, prediction, weight, beta=None):
+    """solve(target, warm, opts=TIGHT) on a primal-dual route; the ball of
+    `pdhg-ball` is centred on the set's feasible point."""
     if route == "pdhg":
         return lambda target, warm, opts=TIGHT: project(
-            ProjectionProblem(MAE, target, cs), opts, warm)
+            ProjectionProblem(spec, target, cs), opts, warm)
+    if route == "pdhg-ball":
+        return lambda target, warm, opts=TIGHT: project_ball_intersection(
+            spec, target, cs.feasible_point, beta, cs, opts, warm)
     return lambda target, warm, opts=TIGHT: project_blend(
-        MAE, target, prediction, weight, cs, opts, warm)
+        spec, target, prediction, weight, cs, opts, warm)
+
+
+def _with_didi(cs, n):
+    """`cs` with a DIDI block over two groups: auxiliary columns, free and
+    with zero slope, which put mse solves on the primal-dual routes."""
+    groups = {0: np.arange(n // 2), 1: np.arange(n // 2, n)}
+    return intersect(cs, build_didi_constraints((ProtectedSpec(0, groups),), 0.05, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -508,14 +521,13 @@ def test_polished_mae_solves_match_the_unpolished_oracle(seed, n, m, route, equa
     # 1.2e-8 (the explicit example)
     rng = np.random.default_rng(seed)
     cs = random_polytope(rng, n, m, equalities=equalities)
-    if didi:  # auxiliary columns: free, with zero slope
-        groups = {0: np.arange(n // 2), 1: np.arange(n // 2, n)}
-        cs = intersect(cs, build_didi_constraints((ProtectedSpec(0, groups),), 0.05, n))
+    if didi:
+        cs = _with_didi(cs, n)
     anchor = rng.uniform(-0.5, 1.5, n)
     anchor[0] = -0.5  # outside the box, so never already feasible
     drifted = np.clip(anchor + rng.uniform(-0.05, 0.05, n), -1, 2)
     prediction = rng.uniform(0, 1, n)
-    solve = _mae_solve(route, cs, prediction, weight)
+    solve = _route_solve(MAE, route, cs, prediction, weight)
 
     def objective(z, target):
         value = loss_value(MAE, z, target)
@@ -540,10 +552,17 @@ def test_polished_mae_solves_match_the_unpolished_oracle(seed, n, m, route, equa
         assert rep.iterations <= want.iterations
 
 
-@pytest.mark.parametrize("route", ["pdhg", "pdhg-blend"])
-def test_a_singular_active_set_leaves_the_solve_unpolished(route, monkeypatch):
+@pytest.mark.parametrize("route,spec", [
+    pytest.param("pdhg", MAE, id="pdhg"),
+    pytest.param("pdhg-blend", MAE, id="pdhg-blend"),
+    pytest.param("pdhg", MSE, id="pdhg-mse-didi"),
+    pytest.param("pdhg-ball", MSE, id="pdhg-ball-mse-didi"),
+    pytest.param("pdhg-blend", MSE, id="pdhg-blend-mse-didi")])
+def test_a_singular_active_set_leaves_the_solve_unpolished(route, spec, monkeypatch):
     # every row twice: the two copies always carry the same multiplier, so
-    # an active set holds both or neither, and its square system is singular
+    # an active set holds both or neither, and its square system is singular.
+    # mse takes the primal-dual routes with a DIDI block, and its ball is
+    # tight: half the loss from its center to the plain projection
     rng = np.random.default_rng(23)
     a = rng.standard_normal((4, 6))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -551,7 +570,12 @@ def test_a_singular_active_set_leaves_the_solve_unpolished(route, monkeypatch):
     cs = from_inequalities(np.vstack([a, a]), np.concatenate([b, b]), 6,
                            lower=np.zeros(6), upper=np.ones(6))
     anchor = rng.uniform(-0.5, 1.5, 6)
-    solve = _mae_solve(route, cs, rng.uniform(0, 1, 6), 0.5)
+    beta = None
+    if spec is MSE:
+        cs = _with_didi(cs, 6)
+        beta = 0.5 * loss_value(MSE, project(ProjectionProblem(MSE, anchor, cs), TIGHT).solution,
+                                cs.feasible_point)
+    solve = _route_solve(spec, route, cs, rng.uniform(0, 1, 6), 0.5, beta)
     singular = []
     linalg_solve = np.linalg.solve
 
@@ -564,9 +588,54 @@ def test_a_singular_active_set_leaves_the_solve_unpolished(route, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     got = solve(anchor, None)
-    assert got.converged and singular
+    assert got.method == route and got.converged and singular
     _patched_pdhg(monkeypatch, polished=False)
     _same_report(got, solve(anchor, None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       route=st.sampled_from(["pdhg", "pdhg-ball", "pdhg-blend"]), equalities=st.integers(0, 1),
+       radius=st.sampled_from([0.25, 0.5, 2.0]), weight=st.sampled_from([0.5, 1.0, 3.0]))
+def test_polished_mse_solves_match_the_unpolished_oracle(seed, n, m, route, equalities, radius,
+                                                         weight):
+    # as for mae, on sets with a DIDI block. The ball's beta is `radius`
+    # times the loss from its center to the plain projection: under 1 the
+    # ball is tight at the answer, over 1 it is slack
+    rng = np.random.default_rng(seed)
+    cs = _with_didi(random_polytope(rng, n, m, equalities=equalities), n)
+    anchor = rng.uniform(-0.5, 1.5, n)
+    anchor[0] = -0.5  # outside the box, so never already feasible
+    drifted = np.clip(anchor + rng.uniform(-0.05, 0.05, n), -1, 2)
+    prediction = rng.uniform(0, 1, n)
+    center = cs.feasible_point
+    beta = radius * loss_value(MSE, project(ProjectionProblem(MSE, anchor, cs), TIGHT).solution,
+                               center)
+    solve = _route_solve(MSE, route, cs, prediction, weight, beta)
+
+    def objective(z, target):
+        value = loss_value(MSE, z, target)
+        return value + weight * loss_value(MSE, z, prediction) if route == "pdhg-blend" else value
+
+    cold = solve(anchor, None)
+    warm = solve(drifted, cold.state)
+    with pytest.MonkeyPatch.context() as patch:
+        _patched_pdhg(patch, polished=True)
+        cold_ref = solve(anchor, None)
+        _same_report(cold, cold_ref)
+        _same_report(warm, solve(drifted, cold_ref.state))
+        _patched_pdhg(patch, polished=False)
+        unpolished = [(solve(anchor, None, opts), solve(drifted, cold.state, opts))
+                      for opts in (TIGHT, SolverOptions(tolerance=1e-11, max_iterations=100000))]
+    for target, rep, want, finer in zip((anchor, drifted), (cold, warm), *unpolished):
+        assert rep.method == want.method == route
+        assert rep.converged and want.converged and finer.converged
+        assert is_member(cs, rep.solution, tol=1e-8)
+        if route == "pdhg-ball":
+            assert loss_value(MSE, rep.solution, center) <= beta + 1e-8
+        assert objective(rep.solution, target) == pytest.approx(
+            objective(finer.solution, target), abs=1e-8)
+        assert rep.iterations <= want.iterations
 
 
 PDHG_ROUTES = [("pdhg", MAE), ("pdhg", HUBER), ("pdhg-ball", MAE), ("pdhg-ball", HUBER),
