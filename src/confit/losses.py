@@ -179,7 +179,7 @@ def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float)
     center = np.asarray(center, dtype=float)
     if v.shape != center.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {center.shape}")
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError(f"ball radius must be nonnegative, got {beta}")
     if beta == 0:
         return center.copy()
@@ -200,7 +200,9 @@ def project_ball(spec: LossSpec, v: np.ndarray, center: np.ndarray, beta: float)
         ad.sort()
         u = ad[::-1]
         css = np.cumsum(u)
-        k = np.flatnonzero(u * np.arange(1, n + 1) > (css - r))[-1]
+        kept = u * np.arange(1, n + 1) > (css - r)
+        kept[0] = True  # r > 0, also where rounding loses r beside a huge |d|
+        k = np.flatnonzero(kept)[-1]
         theta = (css[k] - r) / (k + 1.0)
         return _shrink(d, theta, center)
     # huber: the solution is prox_unit(nu) for the multiplier nu > 0 at which

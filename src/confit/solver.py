@@ -17,17 +17,21 @@ Two routes, picked automatically:
   the average since the last restart, judged by the fixed-point residual,
   and at each restart it moves the primal weight omega that splits the step
   into tau = eta/omega and sigma = eta*omega. Every 10 iterations, where the
-  objective is mae without a trust ball or mse (plain, blended or in its
-  ball), the iteration also tries OSQP's polish (Stellato et al., Math.
-  Programming Computation 2020): it holds the coordinates on a bound (and,
-  for mae, on a kink), takes the equality rows and the rows with a positive
-  multiplier as tight, and computes the optimum on that active set
-  directly. The mae objective is piecewise linear and its optimum a vertex:
-  one square solve for the point and its transpose for the multipliers. The
-  mse objective is a quadratic: one small linear solve for the multipliers
-  and the free auxiliaries, and inside the ball a scalar quadratic for the
-  ball's multiplier. The solve ends at one step from that point if the step
-  passes the usual residual test, and goes on unchanged otherwise.
+  objective is mae or mse (plain, blended or in its ball), the iteration
+  also tries OSQP's polish (Stellato et al., Math. Programming Computation
+  2020): it holds the coordinates on a bound (and, for mae, on a kink or,
+  inside the ball, at the center), takes the equality rows and the rows
+  with a positive multiplier as tight, and computes the optimum on that
+  active set directly. The mae objective is piecewise linear and its
+  optimum a face of the active set, a vertex when that set is square: the
+  free coordinates move to the nearest point of the face, and one small
+  solve with the same Gram matrix gives the multipliers. Inside the ball
+  the face has one more row, the ball's, signed by its multiplier's sign
+  on the coordinates off the center. The mse objective is a quadratic: one
+  small linear solve for the multipliers and the free auxiliaries, and
+  inside the ball a scalar quadratic for the ball's multiplier. The solve
+  ends at one step from that point if the step passes the usual residual
+  test, and goes on unchanged otherwise.
 
 The prepared constraint geometry (stacked unit rows, rescaled auxiliaries and
 the operator norm) and the Dykstra sweep live in `confit.constraints`, which
@@ -84,7 +88,7 @@ class ProjectionProblem:
             center, beta = self.trust
             if np.asarray(center).shape != (self.constraints.n,):
                 raise ValueError("trust center dimension does not match constraints")
-            if beta < 0:
+            if not beta >= 0:
                 raise ValueError(f"trust radius must be nonnegative, got {beta}")
 
 
@@ -130,10 +134,10 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
 
     `objective`, when given, describes the loss for the polish: ("mae",
     ((anchor, weight), ...)) for sum_j weight_j * |z - anchor_j|, which is
-    piecewise linear, or ("mse", (q, c)) for c * |z - q|^2, with `ball`, if
-    any, the mse ball. Every 10-iteration check then first tries to polish
-    the iterate onto the optimum of its active set (`polish`). A polished
-    point that fails the exit test leaves the iteration as it was.
+    piecewise linear, or ("mse", (q, c)) for c * |z - q|^2; `ball`, if any,
+    is the ball of the same loss. Every 10-iteration check then first tries
+    to polish the iterate onto the optimum of its active set (`polish`). A
+    polished point that fails the exit test leaves the iteration as it was.
     """
     n, width, m = geom.n, geom.width, geom.m
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
@@ -192,43 +196,72 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         return (math.sqrt(float(p @ p) / width),
                 math.sqrt(dd / max(m + (n if ball is not None else 0), 1)))
 
-    def polish(x, y):
-        """The optimum that the active set of (x, y) names, and one step from
-        it, with that step's residual, if the step passes the exit test.
+    def polish(x, y, yb):
+        """The optimum that the active set of (x, y, yb) names, and one step
+        from it, with that step's residual, if the step passes the exit test.
 
         A coordinate on a bound is held, and so, under mae, is one on a kink
         (the prox sets both exactly); the rest, auxiliaries among them, are
         free. The active rows are the equalities and the rows with a
-        positive multiplier. Under mae, when they are as many as the free
-        coordinates, one square solve puts the free coordinates on the active
-        rows, and the transposed one gives the multipliers that balance the
-        objective's slope there. Under mse, the free z are p - A_z^T yh and
-        the free auxiliaries, with zero curvature, have A_u^T yh = 0, which
-        with the active rows is one square system in (yh, u) per target p:
-        p = q without a ball. With the ball, p = s q + (1 - s) center, so the
-        point is affine in s, and s is the root of the quadratic that puts it
-        on the ball, or 1 when the ball is slack there; its multiplier is
-        lambda = c (1 - s) / s. Then y = 2 (c + lambda) yh and
-        yb = 2 lambda (z - center). The other multipliers are 0."""
+        positive multiplier.
+
+        Under mae the objective is linear on the free coordinates, with slope
+        g, so its optimum on the active set is a face, or a vertex when the
+        rows are as many as the free coordinates. Inside the mae ball, whose
+        multiplier is lambda = max |yb|, a coordinate with |yb| < lambda is
+        held at the center. When lambda > 0 the free z, of sign s = sign(yb),
+        add the ball row s^T z = n beta - (the held z's L1 distance from the
+        center) + s^T center. With B the active rows and that row, the free
+        x move to the nearest point of the face, x - B^T (B B^T)^-1 (B x - r),
+        and (B B^T) mu = -B g gives the multipliers: y on the rows, and
+        yb = mu_ball sign(z - center), but -(g + A^T y) at the coordinates
+        held at the center.
+
+        Under mse, the free z are p - A_z^T yh and the free auxiliaries,
+        with zero curvature, have A_u^T yh = 0, which with the active rows
+        is one square system in (yh, u) per target p: p = q without a ball.
+        With the ball, p = s q + (1 - s) center, so the point is affine in
+        s, and s is the root of the quadratic that puts it on the ball, or 1
+        when the ball is slack there; its multiplier is lambda = c (1 - s) /
+        s. Then y = 2 (c + lambda) yh and yb = 2 lambda (z - center).
+
+        The other multipliers are 0."""
         kind, data = objective
         fixed = (x == lower) | (x == upper)
+        xp, yp, ybp = x.copy(), np.zeros(m), None
         if kind == "mae":
             for anchor, _ in data:
                 fixed[:n] |= x[:n] == anchor
+            if ball is not None:
+                lam = float(np.max(np.abs(yb)))
+                # the ball projection leaves |yb| = lambda off the center up to rounding
+                centered = np.abs(yb) < (1.0 - 1e-9) * lam
+                fixed[:n] |= centered
+                xp[:n][centered] = center[centered]
         held, free = np.flatnonzero(fixed), np.flatnonzero(~fixed)
         active = np.flatnonzero(y > y_floor)
-        rhs = b[active] - a[np.ix_(active, held)] @ x[held]
-        xp, yp, ybp = x.copy(), np.zeros(m), None
+        rhs = b[active] - a[np.ix_(active, held)] @ xp[held]
         try:
             if kind == "mae":
-                if active.size != free.size:
-                    return None
                 slope = np.zeros(width)
                 for anchor, weight in data:
-                    slope[:n] += weight * np.sign(x[:n] - anchor)
+                    slope[:n] += weight * np.sign(xp[:n] - anchor)
                 basis = a[np.ix_(active, free)]
-                xp[free] = np.linalg.solve(basis, rhs)
-                yp[active] = np.linalg.solve(basis.T, -slope[free])
+                if ball is not None and lam > 0.0:
+                    zf, hz = free[free < n], held[held < n]
+                    signs = np.zeros(free.size)
+                    signs[:zf.size] = np.sign(yb[zf])
+                    basis = np.vstack([basis, signs])
+                    rhs = np.append(rhs, n * beta - float(np.abs(xp[hz] - center[hz]).sum())
+                                    + float(signs[:zf.size] @ center[zf]))
+                sol = np.linalg.solve(basis @ basis.T, np.column_stack(
+                    [basis @ xp[free] - rhs, -(basis @ slope[free])]))
+                xp[free] -= basis.T @ sol[:, 0]
+                yp[active] = sol[:active.size, 1]
+                if ball is not None:
+                    mu_ball = sol[-1, 1] if lam > 0.0 else 0.0
+                    ybp = mu_ball * np.sign(xp[:n] - center)
+                    ybp[centered] = -(slope[:n] + at[:n] @ yp)[centered]
             else:
                 q, c = data
                 zf, uf = free[free < n], free[free >= n]
@@ -289,7 +322,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
             break
         if not checked:
             continue  # a resumed solve's first step is checked for the exit only
-        polished = None if objective is None else polish(x, y)
+        polished = None if objective is None else polish(x, y, yb)
         if polished is not None:
             (x, y, yb), pri, dua = polished
             break
@@ -360,7 +393,7 @@ def project(problem: ProjectionProblem, opts: SolverOptions = DEFAULT_OPTIONS,
         ball=None if ball is None else (*ball, loss),
         anchor_start=anchor if ball is None else center,
         objective=("mse", (anchor, 1.0)) if loss.kind == "mse"
-        else ("mae", ((anchor, 1.0),)) if loss.kind == "mae" and ball is None else None)
+        else ("mae", ((anchor, 1.0),)) if loss.kind == "mae" else None)
     return SolverReport(x[:cs.n].copy(), pri, dua, it,
                         pri <= opts.tolerance and dua <= opts.tolerance, "pdhg" + suffix, state)
 

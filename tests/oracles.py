@@ -408,9 +408,14 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     tight, and the optimum of the objective on that active set is computed
     directly. ("mae", ((anchor, weight), ...)) is the piecewise-linear
     objective sum_j weight_j * |z - anchor_j|: coordinates on an anchor are
-    held too, and when the tight rows are as many as the free coordinates, a
-    square solve gives the vertex and its transposed solve the multipliers
-    that balance the slope there. ("mse", (q, c)) is c * |z - q|^2: the free
+    held too, and so, inside the mae ball, are those whose ball multiplier
+    is below the largest one in size, at the center. The rest move to the
+    nearest point of the face that the tight rows cut out, with one more row
+    when the ball's largest multiplier is positive: the free coordinates'
+    distances from the center, signed by their ball multipliers, sum to the
+    L1 radius that the held ones leave. The Gram matrix of those rows gives that point and the multipliers
+    that balance the slope there; at the center the ball's multiplier
+    balances it. ("mse", (q, c)) is c * |z - q|^2: the free
     coordinates minimize it on the tight rows, inside the mse `ball` if there
     is one, where its multiplier lambda >= 0 is the root of the ball's
     equation, or 0 when the ball is slack. The solve stops at one step from
@@ -475,19 +480,38 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
             count += n
         return math.sqrt(float(p @ p) / width), math.sqrt(dd / max(count, 1))
 
-    def vertex(x, held, free, tight, rhs, kinks):
-        # the square solve for the vertex, its transpose for the multipliers
-        if len(tight) != len(free):
-            return None
-        # minus the objective's slope at each free coordinate, 0 on an auxiliary
-        minus_slope = np.array([-sum(weight * np.sign(x[k] - anchor[k]) for anchor, weight in kinks)
-                                if k < n else -0.0 for k in free])
+    def face(x, yb, held, free, tight, rhs, kinks, centered):
+        # the objective's slope at each coordinate, 0 on an auxiliary
+        slope = np.array([sum(weight * np.sign(x[k] - anchor[k]) for anchor, weight in kinks)
+                          if k < n else 0.0 for k in range(width)])
         basis = geom.a[np.ix_(tight, free)]
-        x_vertex = x.copy()
-        x_vertex[free] = np.linalg.solve(basis, rhs)
-        y_vertex = np.zeros(m)
-        y_vertex[tight] = np.linalg.solve(basis.T, minus_slope)
-        return x_vertex, y_vertex, None
+        lam = 0.0 if ball is None else max(abs(v) for v in yb)
+        if lam > 0.0:
+            # the ball row: the free z off the center, signed by their multiplier
+            center, beta, _ = ball
+            z_free = [k for k in free if k < n]
+            z_held = [k for k in held if k < n]
+            signs = np.array([np.sign(yb[k]) if k < n else 0.0 for k in free])
+            basis = np.vstack([basis, signs])
+            rhs = np.append(rhs, n * beta - float(np.abs(x[z_held] - center[z_held]).sum())
+                            + float(signs[:len(z_free)] @ center[z_free]))
+        # the nearest point of the face to x, and the multipliers that
+        # balance the slope there, from one Gram matrix
+        gram = basis @ basis.T
+        solution = np.linalg.solve(gram, np.column_stack([basis @ x[free] - rhs,
+                                                          -(basis @ slope[free])]))
+        x_face = x.copy()
+        x_face[free] -= basis.T @ solution[:, 0]
+        y_face = np.zeros(m)
+        y_face[tight] = solution[:len(tight), 1]
+        if ball is None:
+            return x_face, y_face, None
+        mu_ball = solution[-1, 1] if lam > 0.0 else 0.0
+        yb_face = mu_ball * np.sign(x_face[:n] - ball[0])
+        # at the center, the ball's multiplier balances the slope and the rows
+        balance = -(slope[:n] + geom.a.T[:n] @ y_face)
+        yb_face[centered] = balance[centered]
+        return x_face, y_face, yb_face
 
     def quadratic_optimum(x, held, free, tight, rhs, q, c):
         # the free z are p - A_z^T yh and the free auxiliaries u satisfy
@@ -539,17 +563,26 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
         return x_opt, y_opt, yb_opt
 
     def polish(z, tau, sig):
-        x, y, _ = z
+        x, y, yb = z
         kind, data = objective
-        held, free = [], []
+        x = x.copy()
+        lam = max(abs(v) for v in yb) if kind == "mae" and ball is not None else 0.0
+        held, free, centered = [], [], []
         for k in range(width):
             on_kink = kind == "mae" and k < n and any(x[k] == anchor[k] for anchor, _ in data)
             on_bound = x[k] == geom.lower[k] or x[k] == geom.upper[k]
-            (held if on_kink or on_bound else free).append(k)
+            # inside the mae ball, |yb_k| below its largest value, up to
+            # rounding, puts coordinate k at the center
+            at_center = kind == "mae" and ball is not None and k < n \
+                and abs(yb[k]) < (1.0 - 1e-9) * lam
+            if at_center:
+                x[k] = ball[0][k]
+                centered.append(k)
+            (held if on_kink or on_bound or at_center else free).append(k)
         tight = [i for i in range(m) if eq_mask[i] or y[i] > 0.0]
         rhs = geom.b[tight] - geom.a[np.ix_(tight, held)] @ x[held]
         try:
-            z_opt = vertex(x, held, free, tight, rhs, data) if kind == "mae" \
+            z_opt = face(x, yb, held, free, tight, rhs, data, centered) if kind == "mae" \
                 else quadratic_optimum(x, held, free, tight, rhs, *data)
         except np.linalg.LinAlgError:
             return None

@@ -228,6 +228,23 @@ def test_project_ball_beta_zero_returns_center():
         assert np.array_equal(project_ball(spec, np.array([1.0, 1.0]), c, 0.0), c)
 
 
+@pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind)
+def test_project_ball_rejects_a_nan_radius(spec):
+    # tested as `beta < 0`, NaN passed: mse and huber returned NaN, mae
+    # raised IndexError
+    with pytest.raises(ValueError, match="ball radius must be nonnegative"):
+        project_ball(spec, np.array([1.0, 0.0, 1.0]), np.full(3, 0.5), float("nan"))
+
+
+def test_mae_project_ball_keeps_the_largest_coordinate_beside_a_huge_distance():
+    # beside |d| = 1e18 the radius rounds away in the cumulative sums, so
+    # no sorted prefix passed the threshold test and the index lookup raised
+    # IndexError; the point a rejected polish steps from can be this far out
+    c = np.full(3, 0.5)
+    z = project_ball(MAE, np.array([1e18, 0.0, 1.0]), c, 0.1)
+    assert np.all(np.isfinite(z)) and loss_value(MAE, z, c) <= 0.1
+
+
 def test_loss_norm_kinds():
     v = np.array([3.0, -4.0])
     assert loss_norm(MSE, v) == 5.0

@@ -6,7 +6,9 @@ import confit.constraints as constraints
 import confit.solver as solver
 from confit.constraints import (build_box, build_didi_constraints,
                                 from_inequalities, intersect, is_member)
-from confit.data import ProtectedSpec
+from confit.data import Dataset, ProtectedSpec
+from confit.driver import RunConfig, run
+from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE, loss_value, pointwise, project_ball
 from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
                            project, project_ball_intersection, project_blend)
@@ -273,6 +275,15 @@ def test_dimension_checks():
         ProjectionProblem(MSE, np.zeros(2), cs, trust=(np.zeros(2), -0.1))
 
 
+@pytest.mark.parametrize("spec", ALL, ids=lambda s: s.kind)
+def test_a_nan_trust_radius_is_rejected(spec):
+    # NaN fails every comparison: tested as `beta < 0` it passed, and the
+    # anchor came back as `already-feasible`
+    with pytest.raises(ValueError, match="trust radius must be nonnegative"):
+        project_ball_intersection(spec, np.array([1.0, 0.0, 1.0]), np.full(3, 0.5), float("nan"),
+                                  build_box(0.0, 1.0, 3))
+
+
 BALL_OPTS = SolverOptions(tolerance=1e-10, max_iterations=300000)
 
 
@@ -476,6 +487,43 @@ def test_restarts_end_the_heavy_tail_of_mae_solves(monkeypatch):
     _same_report(rep, project(ProjectionProblem(MAE, anchor, cs), opts))
 
 
+def test_face_polish_ends_the_heavy_tail_of_mae_ball_solves(monkeypatch):
+    # the polytope workload's mae instances: ridge, alpha 0.2, beta 0.05,
+    # 8 iterations. The first three take the feasible branch, by
+    # `pdhg-ball`. Their slowest solve took 280 iterations with no polish
+    # inside the ball; polished onto the face it takes 20, and the slowest
+    # now takes 40. The oracle's polish gives the same steps, bit for bit
+    def run_instances():
+        runs = []
+        for k in range(3):
+            rng = np.random.default_rng(4000 + k)
+            n = 50 if k == 0 else 10
+            d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
+            x, y = rng.uniform(0, 1, (n, d)), rng.uniform(0, 1, n)
+            a = rng.standard_normal((m, n))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            b = a @ np.full(n, 0.5) + rng.uniform(0.05, 0.4, m)
+            cs = from_inequalities(a, b, n, lower=np.zeros(n), upper=np.ones(n))
+            ds = Dataset(x, y, [f"f{j}" for j in range(d)], [(0.0, 1.0)] * d, "y", (0.0, 1.0))
+            config = RunConfig(alpha=0.2, constraints=cs, beta=0.05, iterations=8, loss=MAE,
+                               learner=LearnerSpec("ridge", ridge_lambda=0.0),
+                               algorithm="affine_extension",
+                               solver=SolverOptions(tolerance=1e-9, max_iterations=300000))
+            runs.append(run(config, ds, ds).records)
+        return runs
+
+    runs = run_instances()
+    steps = [r for records in runs for r in records]
+    assert {r.solver_method for r in steps} == {"pdhg-ball"}
+    assert all(r.solver_converged for r in steps)
+    assert max(r.solver_iterations for r in steps) <= 60
+    _patched_pdhg(monkeypatch, polished=True)
+    for records, want in zip(runs, run_instances()):
+        assert [r.solver_iterations for r in records] == [r.solver_iterations for r in want]
+        for got, ref in zip(records, want):
+            assert np.array_equal(got.z, ref.z)
+
+
 def _patched_pdhg(monkeypatch, polished):
     """Route the primal-dual solves through `pdhg_reference`: the polished
     iteration, or the restarted one alone."""
@@ -564,13 +612,14 @@ def test_polished_mae_solves_match_the_unpolished_oracle(seed, n, m, route, equa
 @pytest.mark.parametrize("route,spec", [
     pytest.param("pdhg", MAE, id="pdhg"),
     pytest.param("pdhg-blend", MAE, id="pdhg-blend"),
+    pytest.param("pdhg-ball", MAE, id="pdhg-ball-mae"),
     pytest.param("pdhg", MSE, id="pdhg-mse-didi"),
     pytest.param("pdhg-ball", MSE, id="pdhg-ball-mse-didi"),
     pytest.param("pdhg-blend", MSE, id="pdhg-blend-mse-didi")])
 def test_a_singular_active_set_leaves_the_solve_unpolished(route, spec, monkeypatch):
     # every row twice: the two copies always carry the same multiplier, so
     # an active set holds both or neither, and its square system is singular.
-    # mse takes the primal-dual routes with a DIDI block, and its ball is
+    # mse takes the primal-dual routes with a DIDI block. The ball is
     # tight: half the loss from its center to the plain projection
     rng = np.random.default_rng(23)
     a = rng.standard_normal((4, 6))
@@ -579,11 +628,10 @@ def test_a_singular_active_set_leaves_the_solve_unpolished(route, spec, monkeypa
     cs = from_inequalities(np.vstack([a, a]), np.concatenate([b, b]), 6,
                            lower=np.zeros(6), upper=np.ones(6))
     anchor = rng.uniform(-0.5, 1.5, 6)
-    beta = None
     if spec is MSE:
         cs = _with_didi(cs, 6)
-        beta = 0.5 * loss_value(MSE, project(ProjectionProblem(MSE, anchor, cs), TIGHT).solution,
-                                cs.feasible_point)
+    beta = 0.5 * loss_value(spec, project(ProjectionProblem(spec, anchor, cs), TIGHT).solution,
+                            cs.feasible_point)
     solve = _route_solve(spec, route, cs, rng.uniform(0, 1, 6), 0.5, beta)
     singular = []
     linalg_solve = np.linalg.solve
@@ -629,6 +677,29 @@ def test_polished_mse_solves_match_the_unpolished_oracle(seed, n, m, route, equa
     for rep in _check_polished_solves(solve, objective, cs, route, anchor, drifted):
         if route == "pdhg-ball":
             assert loss_value(MSE, rep.solution, center) <= beta + 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       equalities=st.integers(0, 1), didi=st.booleans(), radius=st.sampled_from([0.25, 0.5, 2.0]))
+def test_polished_mae_ball_solves_match_the_unpolished_oracle(seed, n, m, equalities, didi,
+                                                              radius):
+    # as for mse: beta is `radius` times the loss from the ball's center to
+    # the plain projection, so the ball is tight or slack at the answer
+    rng = np.random.default_rng(seed)
+    cs = random_polytope(rng, n, m, equalities=equalities)
+    if didi:
+        cs = _with_didi(cs, n)
+    anchor = rng.uniform(-0.5, 1.5, n)
+    anchor[0] = -0.5  # outside the box, so never already feasible
+    drifted = np.clip(anchor + rng.uniform(-0.05, 0.05, n), -1, 2)
+    center = cs.feasible_point
+    beta = radius * loss_value(MAE, project(ProjectionProblem(MAE, anchor, cs), TIGHT).solution,
+                               center)
+    solve = _route_solve(MAE, "pdhg-ball", cs, None, None, beta)
+    for rep in _check_polished_solves(solve, lambda z, target: loss_value(MAE, z, target), cs,
+                                      "pdhg-ball", anchor, drifted):
+        assert loss_value(MAE, rep.solution, center) <= beta + 1e-8
 
 
 PDHG_ROUTES = [("pdhg", MAE), ("pdhg", HUBER), ("pdhg-ball", MAE), ("pdhg-ball", HUBER),
