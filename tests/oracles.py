@@ -413,15 +413,16 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     nearest point of the face that the tight rows cut out, with one more row
     when the ball's largest multiplier is positive: the free coordinates'
     distances from the center, signed by their ball multipliers, sum to the
-    L1 radius that the held ones leave. The Gram matrix of those rows gives that point and the multipliers
-    that balance the slope there; at the center the ball's multiplier
-    balances it. ("mse", (q, c)) is c * |z - q|^2: the free
-    coordinates minimize it on the tight rows, inside the mse `ball` if there
-    is one, where its multiplier lambda >= 0 is the root of the ball's
-    equation, or 0 when the ball is slack. The solve stops at one step from
-    the polished point when the step's residual is within tol. Without an
-    `objective` this is the restarted iteration alone, the oracle that the
-    polished answers are checked against at tolerance.
+    L1 radius that the held ones leave. The Gram matrix of those rows gives
+    that point and the multipliers that balance the slope there; at the
+    center the ball's multiplier balances it. ("mse", (q, c)) is
+    c * |z - q|^2: the free coordinates minimize it on the tight rows,
+    inside the mse `ball` if there is one, where its multiplier lambda >= 0
+    is the root of the ball's equation, or 0 when the ball is slack. The
+    solve stops at one step from the polished point when the step's
+    residual is within tol. Without an `objective` this is the restarted
+    iteration alone, the oracle that the polished answers are checked
+    against at tolerance.
 
     Arguments are those of `pdhg_unrestarted_reference`; the state carries
     omega in place of tau and sigma.
@@ -480,12 +481,11 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
             count += n
         return math.sqrt(float(p @ p) / width), math.sqrt(dd / max(count, 1))
 
-    def face(x, yb, held, free, tight, rhs, kinks, centered):
+    def face(x, yb, lam, held, free, tight, rhs, kinks, centered):
         # the objective's slope at each coordinate, 0 on an auxiliary
         slope = np.array([sum(weight * np.sign(x[k] - anchor[k]) for anchor, weight in kinks)
                           if k < n else 0.0 for k in range(width)])
         basis = geom.a[np.ix_(tight, free)]
-        lam = 0.0 if ball is None else max(abs(v) for v in yb)
         if lam > 0.0:
             # the ball row: the free z off the center, signed by their multiplier
             center, beta, _ = ball
@@ -582,7 +582,7 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
         tight = [i for i in range(m) if eq_mask[i] or y[i] > 0.0]
         rhs = geom.b[tight] - geom.a[np.ix_(tight, held)] @ x[held]
         try:
-            z_opt = face(x, yb, held, free, tight, rhs, data, centered) if kind == "mae" \
+            z_opt = face(x, yb, lam, held, free, tight, rhs, data, centered) if kind == "mae" \
                 else quadratic_optimum(x, held, free, tight, rhs, *data)
         except np.linalg.LinAlgError:
             return None

@@ -466,18 +466,27 @@ def test_pdhg_matches_reference_at_tolerance(route, cs, solve, objective, ball, 
             objective(want.solution, shift), abs=1e-8)
 
 
+def _workload_instance(k):
+    """Instance k of the benchmark's polytope workload, unpermuted: ridge
+    data of 2-6 features, and 5-20 unit rows 0.05-0.4 outside the centre of
+    the [0, 1] box, in 50 dimensions for k = 0 and 10 otherwise."""
+    rng = np.random.default_rng(4000 + k)
+    n = 50 if k % 4 == 0 else 10
+    d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
+    x, y = rng.uniform(0, 1, (n, d)), rng.uniform(0, 1, n)
+    a = rng.standard_normal((m, n))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = a @ np.full(n, 0.5) + rng.uniform(0.05, 0.4, m)
+    return (Dataset(x, y, [f"f{j}" for j in range(d)], [(0.0, 1.0)] * d, "y", (0.0, 1.0)),
+            from_inequalities(a, b, n, lower=np.zeros(n), upper=np.ones(n)))
+
+
 def test_restarts_end_the_heavy_tail_of_mae_solves(monkeypatch):
     # the slowest mae solve of the benchmark's polytope probes: 26,580
     # iterations under the earlier rebalanced PDHG, 1,770 with restarts,
     # 240 once the restarted iterate is polished onto its vertex, with the
     # bits of the polished oracle
-    rng = np.random.default_rng(4000)
-    d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
-    rng.uniform(0, 1, (50, d + 1))  # the instance's data, drawn before its rows
-    a = rng.standard_normal((m, 50))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b = a @ np.full(50, 0.5) + rng.uniform(0.05, 0.4, m)
-    cs = from_inequalities(a, b, 50, lower=np.zeros(50), upper=np.ones(50))
+    _, cs = _workload_instance(0)
     anchor = np.random.default_rng(0).uniform(-0.5, 1.5, (3, 50))[2]
     opts = SolverOptions(tolerance=1e-9, max_iterations=5000)
     rep = project(ProjectionProblem(MAE, anchor, cs), opts)
@@ -488,29 +497,17 @@ def test_restarts_end_the_heavy_tail_of_mae_solves(monkeypatch):
 
 
 def test_face_polish_ends_the_heavy_tail_of_mae_ball_solves(monkeypatch):
-    # the polytope workload's mae instances: ridge, alpha 0.2, beta 0.05,
-    # 8 iterations. The first three take the feasible branch, by
-    # `pdhg-ball`. Their slowest solve took 280 iterations with no polish
-    # inside the ball; polished onto the face it takes 20, and the slowest
-    # now takes 40. The oracle's polish gives the same steps, bit for bit
+    # the polytope workload's mae runs: ridge, alpha 0.2, beta 0.05, 8
+    # iterations. Instances 0-2 take the feasible branch, by `pdhg-ball`.
+    # Their slowest solve took 280 iterations with no polish inside the
+    # ball; polished onto the face it takes 20, and the slowest now takes
+    # 40. The oracle's polish gives the same steps, bit for bit
     def run_instances():
-        runs = []
-        for k in range(3):
-            rng = np.random.default_rng(4000 + k)
-            n = 50 if k == 0 else 10
-            d, m = int(rng.integers(2, 7)), int(rng.integers(5, 21))
-            x, y = rng.uniform(0, 1, (n, d)), rng.uniform(0, 1, n)
-            a = rng.standard_normal((m, n))
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
-            b = a @ np.full(n, 0.5) + rng.uniform(0.05, 0.4, m)
-            cs = from_inequalities(a, b, n, lower=np.zeros(n), upper=np.ones(n))
-            ds = Dataset(x, y, [f"f{j}" for j in range(d)], [(0.0, 1.0)] * d, "y", (0.0, 1.0))
-            config = RunConfig(alpha=0.2, constraints=cs, beta=0.05, iterations=8, loss=MAE,
-                               learner=LearnerSpec("ridge", ridge_lambda=0.0),
-                               algorithm="affine_extension",
-                               solver=SolverOptions(tolerance=1e-9, max_iterations=300000))
-            runs.append(run(config, ds, ds).records)
-        return runs
+        return [run(RunConfig(alpha=0.2, constraints=cs, beta=0.05, iterations=8, loss=MAE,
+                              learner=LearnerSpec("ridge", ridge_lambda=0.0),
+                              solver=SolverOptions(tolerance=1e-9, max_iterations=300000)),
+                    ds, ds).records
+                for ds, cs in map(_workload_instance, range(3))]
 
     runs = run_instances()
     steps = [r for records in runs for r in records]
@@ -618,7 +615,8 @@ def test_polished_mae_solves_match_the_unpolished_oracle(seed, n, m, route, equa
     pytest.param("pdhg-blend", MSE, id="pdhg-blend-mse-didi")])
 def test_a_singular_active_set_leaves_the_solve_unpolished(route, spec, monkeypatch):
     # every row twice: the two copies always carry the same multiplier, so
-    # an active set holds both or neither, and its square system is singular.
+    # an active set holds both or neither, and the matrix it solves with is
+    # singular.
     # mse takes the primal-dual routes with a DIDI block. The ball is
     # tight: half the loss from its center to the plain projection
     rng = np.random.default_rng(23)
@@ -682,10 +680,13 @@ def test_polished_mse_solves_match_the_unpolished_oracle(seed, n, m, route, equa
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
        equalities=st.integers(0, 1), didi=st.booleans(), radius=st.sampled_from([0.25, 0.5, 2.0]))
+@example(seed=665058576, n=6, m=2, equalities=1, didi=True, radius=2.0)
 def test_polished_mae_ball_solves_match_the_unpolished_oracle(seed, n, m, equalities, didi,
                                                               radius):
     # as for mse: beta is `radius` times the loss from the ball's center to
-    # the plain projection, so the ball is tight or slack at the answer
+    # the plain projection, so the ball is tight or slack at the answer. In
+    # the explicit example a nearly singular Gram matrix puts the polished
+    # point near 1e17, and the step from it must still project onto the ball
     rng = np.random.default_rng(seed)
     cs = random_polytope(rng, n, m, equalities=equalities)
     if didi:
