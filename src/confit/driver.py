@@ -15,7 +15,6 @@ toward y inside a loss-ball of radius beta around the prediction.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
@@ -189,7 +188,7 @@ class IterationHistory:
         return np.array([first] + [getattr(r, name) for r in self.records])
 
     def to_records(self) -> list[dict]:
-        """The history as format-3 records: one meta record, one initial record,
+        """The history as records: one meta record, one initial record,
         then one record per adjustment step, all without their prediction
         vectors, which `vectors` yields."""
         meta = {"type": "meta", **encode_fields(self, exclude=("initial", "records")),
@@ -207,34 +206,34 @@ class IterationHistory:
             yield r.z
             yield r.yhat_next
 
-    @classmethod
-    def from_records(cls, records: list[dict], format: int = 3,
-                     vectors: Iterable[np.ndarray] | None = None) -> "IterationHistory":
-        """Inverse of `to_records`; malformed records raise DataError.
+    def set_vectors(self, vectors: Iterable[np.ndarray]) -> None:
+        """Inverse of `vectors`. A step's `yhat` is the previous step's
+        `yhat_next` array itself, not a copy."""
+        take = iter(vectors)
+        previous = self.initial.yhat = next(take)
+        for r in self.records:
+            r.yhat, r.z, r.yhat_next = previous, next(take), next(take)
+            previous = r.yhat_next
 
-        Format-3 records take their vectors from `vectors`, in the order
-        `vectors` yields them; without it those arrays are None. Format-2
-        records carry `z` and `yhat_next`, and format-1 records also carry
-        each step's `yhat`. From format 2 on, a step's `yhat` is the previous
-        step's `yhat_next` array itself, not a copy."""
+    @classmethod
+    def from_records(cls, records: list[dict],
+                     vectors: Iterable[np.ndarray] | None = None) -> "IterationHistory":
+        """Inverse of `to_records`; malformed records raise DataError. The
+        arrays come from `vectors` through `set_vectors`, or are None."""
         if len(records) < 2 or records[0].get("type") != "meta" \
                 or records[1].get("type") != "initial":
             raise DataError("history stream must start with a meta record "
                             "and then an initial record")
-        take = iter(vectors) if vectors is not None else itertools.repeat(None)
-        initial = decode_fields(InitialRecord, records[1],
-                                **({"yhat": next(take)} if format == 3 else {}))
+        initial = decode_fields(InitialRecord, records[1], yhat=None)
         steps = []
-        previous = initial.yhat
         for rec in records[2:]:
             if rec.get("type") != "iteration":
                 raise DataError(f"unexpected record type {rec.get('type')!r}")
-            given = ({} if format == 1 else {"yhat": previous} if format == 2
-                     else {"yhat": previous, "z": next(take), "yhat_next": next(take)})
-            step = decode_fields(IterationRecord, rec, **given)
-            steps.append(step)
-            previous = step.yhat_next
-        return decode_fields(cls, records[0], initial=initial, records=steps)
+            steps.append(decode_fields(IterationRecord, rec, yhat=None, z=None, yhat_next=None))
+        history = decode_fields(cls, records[0], initial=initial, records=steps)
+        if vectors is not None:
+            history.set_vectors(vectors)
+        return history
 
 
 def encode_fields(obj, exclude=()) -> dict:

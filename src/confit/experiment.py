@@ -12,8 +12,8 @@ Artifacts per run directory:
   step's ``yhat`` is the previous step's ``yhat_next``), in the manner of
   NumPy's ``.npy``: a text header, then raw data. A scalar-only read, as
   ``plotdata`` and ``compare`` do, checks the sidecar's size but never opens
-  it. Formats 1 and 2, which hold the vectors as JSON text (format 1 repeats
-  ``yhat`` in every step), are still read;
+  it. Format 3 is the only format read: a file of an older format, which
+  held the vectors as JSON text, is a DataError that names its format;
 * ``summary.csv``: final-metric rows per fold plus mean/std aggregate rows;
 * ``run_meta.json``: config echo, seed, and convergence verdicts.
 
@@ -179,7 +179,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
 
 
 def sidecar_path(path) -> Path:
-    """The raw float64 file that holds a format-3 history's vectors."""
+    """The raw float64 file that holds a history's vectors."""
     return Path(path).with_suffix(".f64")
 
 
@@ -221,12 +221,10 @@ def _vector_bytes(rows: list[int], histories: list[IterationHistory]) -> int:
 
 
 def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationHistory]]:
-    """Read a history file back; a malformed file raises DataError naming it.
-
-    Formats 1 and 2 hold their vectors in the JSON lines and always decode
-    them. A format-3 file's sidecar must exist and have the size its file meta
-    records; it is read only with `vectors`, and without it the histories'
-    arrays are None."""
+    """Read a format-3 history back; a malformed file, or one of another
+    format, raises DataError naming it. The sidecar must exist and have the
+    size the file meta records; it is read only with `vectors`, and without
+    it the histories' arrays are None."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such history file: {path}")
@@ -246,52 +244,54 @@ def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationH
         raise DataError(f"{path}: not a history file (missing filemeta line)")
     filemeta = records[0]
     version = filemeta.get("format")
-    if type(version) is not int or version not in (1, 2, 3):
-        raise DataError(f"{path}: unknown history format {version!r}; "
-                        "formats 1, 2 and 3 are read")
+    if type(version) is not int or version != 3:
+        raise DataError(f"{path}: history format {version!r}; only format 3 is read")
     if any(r.get("type") == "filemeta" for r in records[1:]):
         raise DataError(f"{path}: holds more than one history; one history per file")
-    by_fold: dict[int, list[dict]] = {}
-    for rec in records[1:]:
-        fold = rec.pop("fold", None)
-        if not isinstance(fold, int):
-            raise DataError(f"{path}: record without a fold tag")
-        by_fold.setdefault(fold, []).append(rec)
-    if not by_fold:
-        raise DataError(f"{path}: holds no folds")
-    histories = _decode_folds(path, filemeta, by_fold, version)
+    histories = _decode_folds(path, filemeta, records[1:])
     lengths = sorted({len(h.records) for h in histories})
     if len(lengths) > 1:
         raise DataError(f"{path}: folds have unequal iteration counts {lengths}")
-    if version == 3:
-        rows = _check_sidecar(path, filemeta, histories)
-        if vectors:
-            # decoded again, now with the vectors, so that every check on the
-            # records comes before any on the sidecar; one read, and each
-            # fold's vectors are the rows of a view into it
-            data = np.fromfile(sidecar_path(path), dtype="<f8")
-            offset, blocks = 0, []
-            for n, h in zip(rows, histories):
-                count = 1 + 2 * len(h.records)
-                blocks.append(data[offset:offset + count * n].reshape(count, n))
-                offset += count * n
-            histories = _decode_folds(path, filemeta, by_fold, version, blocks)
+    rows = _check_sidecar(path, filemeta, histories)
+    if vectors:
+        # one read, after every check; each fold's vectors are rows of a view into it
+        data = np.fromfile(sidecar_path(path), dtype="<f8")
+        offset = 0
+        for n, history in zip(rows, histories):
+            count = 1 + 2 * len(history.records)
+            history.set_vectors(data[offset:offset + count * n].reshape(count, n))
+            offset += count * n
     return filemeta, histories
 
 
-def _decode_folds(path, filemeta, by_fold, version, vectors=None) -> list[IterationHistory]:
+def _decode_folds(path, filemeta, records) -> list[IterationHistory]:
+    """The folds decoded without their vectors: tagged 0, 1, ..., k - 1 in file
+    order, each in one run of records, with k the file meta's `folds`."""
+    folds: list[list[dict]] = []
+    for rec in records:
+        tag = rec.pop("fold", None)
+        if type(tag) is int and tag == len(folds):
+            folds.append([])
+        elif type(tag) is not int or not folds or tag != len(folds) - 1:
+            raise DataError(f"{path}: fold tag {tag!r} out of order; the folds are tagged "
+                            "0, 1, ... in file order, each in one run of records")
+        folds[-1].append(rec)
+    if not folds:
+        raise DataError(f"{path}: holds no folds")
     histories = []
-    for k, fold in enumerate(sorted(by_fold)):
+    for j, fold in enumerate(folds):
         try:
-            history = IterationHistory.from_records(
-                by_fold[fold], version, None if vectors is None else vectors[k])
+            history = IterationHistory.from_records(fold)
         except DataError as exc:
-            raise DataError(f"{path}: fold {fold}: {exc}") from None
+            raise DataError(f"{path}: fold {j}: {exc}") from None
         if history.algorithm != filemeta.get("algorithm") or \
                 history.alpha != filemeta.get("alpha"):
-            raise DataError(f"{path}: fold {fold} disagrees with the file meta; "
+            raise DataError(f"{path}: fold {j} disagrees with the file meta; "
                             "one history per file")
         histories.append(history)
+    if type(filemeta.get("folds")) is not int or filemeta["folds"] != len(folds):
+        raise DataError(f"{path}: the file meta states {filemeta.get('folds')!r} folds, "
+                        f"the records hold {len(folds)}")
     return histories
 
 

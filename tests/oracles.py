@@ -8,9 +8,7 @@ and only the part under test is independent.
 """
 
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -94,34 +92,17 @@ def violation_reference(lower, upper, a_ineq, b_ineq, a_eq, b_eq, x):
     return worst
 
 
-def grid_search_2d(objective, feasible, lo=0.0, hi=1.0, step=1e-3, slack=None):
-    """Exhaustive 2-D search: returns (best_value, array of near-optimal grid points).
+def grid_search(objective, feasible, dim, step, lo=0.0, hi=1.0, slack=None):
+    """Exhaustive search over the grid of `step` on [lo, hi]^dim: returns
+    (best_value, array of near-optimal grid points).
 
-    `objective(Z)` and `feasible(Z)` act on an (m, 2) array of candidate points.
+    `objective(Z)` and `feasible(Z)` act on an (m, dim) array of candidate points.
     Points within `slack` of the minimum are all returned so that argmin faces
     (non-unique minimizers) can be handled by the caller.  Default slack is
     one step of the steepest loss seen on the grid.
     """
     ax = np.arange(lo, hi + 0.5 * step, step)
-    z1, z2 = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.column_stack([z1.ravel(), z2.ravel()])
-    mask = feasible(pts)
-    pts = pts[mask]
-    if pts.size == 0:
-        raise ValueError("no feasible grid points")
-    vals = objective(pts)
-    best = vals.min()
-    if slack is None:
-        spread = vals.max() - best
-        slack = max(4.0 * step * spread, 1e-12)
-    return best, pts[vals <= best + slack]
-
-
-def grid_search_3d(objective, feasible, lo=0.0, hi=1.0, step=1e-2, slack=None):
-    """3-D analogue of grid_search_2d."""
-    ax = np.arange(lo, hi + 0.5 * step, step)
-    z1, z2, z3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.column_stack([z1.ravel(), z2.ravel(), z3.ravel()])
+    pts = np.stack(np.meshgrid(*[ax] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     mask = feasible(pts)
     pts = pts[mask]
     if pts.size == 0:
@@ -876,62 +857,3 @@ def mae_pair_prox_reference(t, v, a1, a2, w2):
     return np.where(below < lo, below,
                     np.where(above > hi, above,
                              np.where((middle > lo) & (middle < hi), middle, at_kink)))
-
-
-def _encode(value):
-    if dataclasses.is_dataclass(value):
-        return _fields_of(value)
-    if isinstance(value, float):
-        return None if value != value else value
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _fields_of(obj, exclude=()):
-    return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-            if f.name not in exclude}
-
-
-def _history_lines(version, cfg, algorithm, alpha, histories, step_exclude):
-    filemeta = {
-        "type": "filemeta", "format": version, "algorithm": algorithm, "alpha": alpha,
-        "beta": cfg.run.beta, "iterations": cfg.run.iterations,
-        "loss": _fields_of(cfg.run.loss), "folds": len(histories), "seed": cfg.run.seed,
-        "dataset": {"path": cfg.dataset.path, "target": cfg.dataset.target,
-                    "rows_train_fold0": int(histories[0].initial.yhat.size)},
-        "verdict": _fields_of(histories[0].verdict),
-    }
-    yield json.dumps(filemeta)
-    for j, history in enumerate(histories):
-        counts = {"infeasible": 0, "feasible": 0}
-        for record in history.records:
-            counts[record.branch] += 1
-        yield json.dumps({"fold": j, "type": "meta",
-                          **_fields_of(history, exclude=("initial", "records")),
-                          "branch_counts": counts})
-        yield json.dumps({"fold": j, "type": "initial", "i": 0,
-                          **_fields_of(history.initial)})
-        for record in history.records:
-            yield json.dumps({"fold": j, "type": "iteration",
-                              **_fields_of(record, exclude=step_exclude)})
-
-
-def write_history_format_1(path, cfg, algorithm, alpha, histories):
-    """A history file in format 1, as the package wrote it before format 2:
-    a filemeta line, then per fold a meta, an initial and one iteration
-    record per step, each record the fields of its dataclass in declaration
-    order (arrays as lists, NaN as null, nested dataclasses as objects), and
-    every iteration record carrying its own `yhat`."""
-    lines = _history_lines(1, cfg, algorithm, alpha, histories, ())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_history_format_2(path, cfg, algorithm, alpha, histories):
-    """A history file in format 2, as the package wrote it before format 3:
-    format 1 without each iteration record's `yhat`, which is the previous
-    record's `yhat_next` (the initial `yhat` for the first step)."""
-    lines = _history_lines(2, cfg, algorithm, alpha, histories, ("yhat",))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

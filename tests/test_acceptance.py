@@ -19,7 +19,7 @@ from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
                            project, project_ball_intersection)
 from confit.cli import main as cli_main
 from confit.constraints import didi_value
-from oracles import didi_brute, grid_search_2d
+from oracles import didi_brute, grid_search
 
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
 HUBER = LossSpec("huber", huber_m=0.1)
@@ -193,7 +193,7 @@ def test_criterion_5_solver_matches_grid_oracle():
                 ok &= pointwise(spec, pts - ball[0][None, :]).mean(axis=1) <= ball[1] + 1e-12
             return ok
 
-        _, optimal = grid_search_2d(objective, feasible, lo=0.0, hi=1.0, step=1e-3)
+        _, optimal = grid_search(objective, feasible, 2, lo=0.0, hi=1.0, step=1e-3)
         if ball is None:
             rep = project(ProjectionProblem(spec, anchor, cs), solver)
         else:

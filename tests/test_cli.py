@@ -20,10 +20,11 @@ from confit.cli import main
 from confit.config import ExperimentConfig, load_config, resolved_dataset_path
 from confit.data import ColumnRoles, fold_indices, load_csv, normalize, ordinal_encode
 from confit.errors import ConfigError, DataError
-from confit.experiment import (_run_task, load_history_file, plotdata_rows, prepare_folds,
-                               sidecar_path, write_history_file)
+from confit.driver import IterationHistory
+from confit.experiment import (_run_task, compare_rows, load_history_file, plotdata_rows,
+                               prepare_folds, sidecar_path, write_history_file)
 from confit.synth import write_school_csv
-from oracles import full_normalization_folds, write_history_format_1, write_history_format_2
+from oracles import full_normalization_folds
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -453,7 +454,6 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
     # spread: every metric must come out significant
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
-    from confit.driver import IterationHistory
     folds = prepare_folds(cfg_obj)
     histories = [_run_task((cfg_obj, "affine_extension", 0.5, f)) for f in folds]
     shifted = []
@@ -478,17 +478,14 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
 
 @pytest.fixture(scope="module")
 def history_lines(tmp_path_factory, csv_50):
-    """One run's history as written (format 3) and as format 2 wrote it, with
-    the format-3 sidecar's bytes and the run's `run_meta.json`."""
+    """One run's history file as written, with its sidecar's bytes and the
+    run's `run_meta.json`."""
     tmp_path = tmp_path_factory.mktemp("format")
     cfg = write_config(tmp_path, csv_50)
     assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 0
     path = next((tmp_path / "out").glob("history_*.jsonl"))
-    _, histories = load_history_file(path)
-    old = tmp_path / "format2.jsonl"
-    write_history_format_2(old, load_config(cfg), "affine_extension", 0.5, histories)
     meta_doc = json.loads((tmp_path / "out" / "run_meta.json").read_text())
-    return {2: old.read_text().splitlines(), 3: path.read_text().splitlines(),
+    return {"lines": path.read_text().splitlines(),
             "sidecar": sidecar_path(path).read_bytes(), "meta_doc": meta_doc}
 
 
@@ -498,7 +495,7 @@ def test_history_format_3_key_order(history_lines):
     # which go to the sidecar: a field added to or moved in IterationHistory,
     # InitialRecord, IterationRecord or the config blocks changes format 3 and
     # must show up here
-    lines, meta_doc = history_lines[3], history_lines["meta_doc"]
+    lines, meta_doc = history_lines["lines"], history_lines["meta_doc"]
     records = [json.loads(line) for line in lines]
     first = {}
     for rec in records:
@@ -553,42 +550,57 @@ def _set_format(version):
     return _edit_line(0, lambda filemeta: filemeta.update(format=version))
 
 
-STRUCTURAL_DAMAGE = [
+def _retag(tags):
+    """Moves the records of fold j to fold tags[j]; `tags` maps every fold."""
+    def damage(lines):
+        records = [json.loads(line) for line in lines[1:]]
+        for rec in records:
+            rec["fold"] = tags[rec["fold"]]
+        return lines[:1] + [json.dumps(rec) for rec in records]
+    return damage
+
+
+def _split_fold(lines):
+    """Moves fold 0's last record after fold 1's, so fold 0 is in two runs."""
+    last = max(k for k, line in enumerate(lines) if json.loads(line).get("fold") == 0)
+    return lines[:last] + lines[last + 1:] + [lines[last]]
+
+
+@pytest.mark.parametrize("damage, message", [
     (lambda lines: lines[:2] + [lines[2][:40]], "line 3 is not valid JSON"),
     (lambda lines: lines[:1] + ["[1, 2]"] + lines[2:], "line 2 is not a JSON object"),
     (lambda lines: lines[:2], "must start with a meta record and then an initial record"),
     (_edit_line(3, lambda rec: rec.pop("residual")), "missing field 'residual'"),
-]
-STRUCTURAL_IDS = ["cut-mid-line", "not-an-object", "meta-only", "missing-field"]
-
-
-@pytest.mark.parametrize("version, damage, message", [
-    *((2, damage, message) for damage, message in STRUCTURAL_DAMAGE),
-    (2, _edit_line(3, lambda rec: rec.update(z="0.5")), "IterationRecord.z"),
-    (2, lambda lines: lines[:-1], "unequal iteration counts"),
-    (2, _set_format(7), "unknown history format 7"),
-    (2, _set_format(1), "missing field 'yhat'"),  # format 1 carries each step's yhat
-    *((3, damage, message) for damage, message in STRUCTURAL_DAMAGE),
-    (3, _edit_line(3, lambda rec: rec.update(solver_iterations="3")),
+    (_edit_line(3, lambda rec: rec.update(solver_iterations="3")),
      "IterationRecord.solver_iterations"),
-    (3, lambda lines: lines[:-1], "unequal iteration counts"),
-    (3, _set_format(2), "InitialRecord: missing field 'yhat'"),
-    (3, _edit_line(0, lambda filemeta: filemeta["vectors"].update(bytes=8)),
+    (lambda lines: lines[:-1], "unequal iteration counts"),
+    (_set_format(2), "history format 2; only format 3 is read"),
+    (_set_format(1), "history format 1; only format 3 is read"),
+    (_set_format(7), "history format 7; only format 3 is read"),
+    (_edit_line(0, lambda filemeta: filemeta["vectors"].update(bytes=8)),
      "'vectors' entry does not match the records"),
-], ids=[*STRUCTURAL_IDS, "wrong-type", "unequal-folds", "unknown-format",
-        "format-1-without-yhat", *(f"format-3-{name}" for name in STRUCTURAL_IDS),
-        "format-3-wrong-type", "format-3-unequal-folds", "format-3-read-as-format-2",
-        "format-3-vectors-meta"])
-def test_malformed_history_is_a_data_error(tmp_path, history_lines, version, damage,
-                                           message, capsys, caplog):
-    # format-2 files are the oracle's; a format-3 file keeps its intact sidecar
+    (_edit_line(0, lambda filemeta: filemeta.update(folds=7)),
+     "the file meta states 7 folds, the records hold 2"),
+    (_retag({0: 0, 1: True}), "fold tag True out of order"),
+    (_retag({0: 0, 1: 9}), "fold tag 9 out of order"),
+    (_retag({0: 1, 1: 0}), "fold tag 1 out of order"),
+    (_split_fold, "fold tag 0 out of order"),
+], ids=["format-3-cut-mid-line", "format-3-not-an-object", "format-3-meta-only",
+        "format-3-missing-field", "format-3-wrong-type", "format-3-unequal-folds",
+        "format-3-read-as-format-2", "format-1-without-yhat", "unknown-format",
+        "format-3-vectors-meta", "folds-miscounted", "fold-tagged-true", "fold-tagged-9",
+        "folds-swapped", "fold-split"])
+def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
+                                           capsys, caplog):
+    # the file keeps its intact sidecar; each command prints one line
     path = tmp_path / "damaged.jsonl"
-    path.write_text("\n".join(damage(history_lines[version])) + "\n")
-    if version == 3:
-        sidecar_path(path).write_bytes(history_lines["sidecar"])
-    assert main(["plotdata", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert str(path) in err and message in err
+    path.write_text("\n".join(damage(history_lines["lines"])) + "\n")
+    sidecar_path(path).write_bytes(history_lines["sidecar"])
+    for command in (["plotdata", str(path)], ["compare", str(path), str(path)]):
+        assert main(command) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and message in err
     assert "unhandled failure" not in caplog.text
 
 
@@ -597,7 +609,7 @@ def test_malformed_history_is_a_data_error(tmp_path, history_lines, version, dam
 ], ids=["missing", "short", "long"])
 def test_damaged_sidecar_is_a_data_error(tmp_path, history_lines, damage, capsys, caplog):
     path = tmp_path / "history.jsonl"
-    path.write_text("\n".join(history_lines[3]) + "\n")
+    path.write_text("\n".join(history_lines["lines"]) + "\n")
     data = damage(history_lines["sidecar"])
     if data is not None:
         sidecar_path(path).write_bytes(data)
@@ -628,34 +640,37 @@ def assert_same_fields(a, b, where="history"):
             assert type(x) is type(y) and x == y, at
 
 
-def test_history_formats_1_2_and_3_load_equal(tmp_path, csv_50, capsys, monkeypatch):
+def test_history_round_trip(tmp_path, csv_50, capsys, monkeypatch):
     cfg = load_config(write_config(tmp_path, csv_50, iterations=5))
     histories = [_run_task((cfg, "affine_extension", 0.5, fold)) for fold in prepare_folds(cfg)]
-    histories[0].records[1].z[:3] = [np.nan, -0.0, np.inf]  # bits JSON text must keep too
-    paths = [tmp_path / f"format{k}.jsonl" for k in (1, 2, 3)]
-    write_history_format_1(paths[0], cfg, "affine_extension", 0.5, histories)
-    write_history_format_2(paths[1], cfg, "affine_extension", 0.5, histories)
-    write_history_file(paths[2], cfg, "affine_extension", 0.5, histories)
-    sizes = [p.stat().st_size for p in paths]
-    assert sizes[2] + sidecar_path(paths[2]).stat().st_size < sizes[1] < sizes[0]
-    loaded = [load_history_file(p) for p in paths]
-    metas = [meta for meta, _ in loaded]
-    assert [meta.pop("format") for meta in metas] == [1, 2, 3]
-    rows = [h.initial.yhat.size for h in histories]
-    assert metas[2].pop("vectors") == {"rows": rows, "bytes": sidecar_path(paths[2]).stat().st_size}
-    assert metas[0] == metas[1] == metas[2]
+    histories[0].records[1].z[:3] = [np.nan, -0.0, np.inf]  # bits the sidecar must keep
     assert np.isnan(histories[0].records[0].contraction)  # NaN is covered
-    # format 3 reads its sidecar once: every vector is a view into one array
-    base = loaded[2][1][0].initial.yhat.base
-    assert base is not None and all(v.base is base for h in loaded[2][1] for v in h.vectors())
-    for k, h in enumerate(histories):
-        for _, read in loaded:
-            assert_same_fields(read[k], h)
-        for _, read in loaded[1:]:
-            # from format 2 on, each prediction is held once
-            steps = read[k].records
-            assert steps[0].yhat is read[k].initial.yhat
-            assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
+    path = tmp_path / "history.jsonl"
+    write_history_file(path, cfg, "affine_extension", 0.5, histories)
+    calls = []
+    from_records = IterationHistory.from_records
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return from_records(*args, **kwargs)
+
+    monkeypatch.setattr(IterationHistory, "from_records", counting)
+    meta, read = load_history_file(path)
+    assert len(calls) == len(histories)  # each fold's records are decoded once
+    assert meta == json.loads(path.read_text().splitlines()[0])
+    assert meta["format"] == 3 and meta["vectors"] == {
+        "rows": [h.initial.yhat.size for h in histories],
+        "bytes": sidecar_path(path).stat().st_size}
+    # the sidecar is read once: every vector is a view into one array
+    base = read[0].initial.yhat.base
+    assert base is not None and all(v.base is base for h in read for v in h.vectors())
+    assert len(read) == len(histories)
+    for h, back in zip(histories, read):
+        assert_same_fields(back, h)
+        # each prediction is held once
+        steps = back.records
+        assert steps[0].yhat is back.initial.yhat
+        assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
 
     def output(*args):
         capsys.readouterr()
@@ -665,16 +680,18 @@ def test_history_formats_1_2_and_3_load_equal(tmp_path, csv_50, capsys, monkeypa
     def unread(*args, **kwargs):
         raise AssertionError("the sidecar was read")
 
-    # plotdata and compare read scalars only: the format-3 sidecar stays unread
+    # plotdata and compare read scalars only: the sidecar stays unread, and
+    # their output is that of the histories read with their vectors
     monkeypatch.setattr(np, "fromfile", unread)
-    one, two, three = (str(p) for p in paths)
-    assert output("plotdata", one) == output("plotdata", two) == output("plotdata", three)
-    same = output("compare", three, three)
-    assert output("compare", one, three) == output("compare", two, three) == same
-    assert output("compare", one, two) == output("compare", three, one) == same
-    _, scalars = load_history_file(paths[2], vectors=False)
+    meta_scalars, scalars = load_history_file(path, vectors=False)
+    assert meta_scalars == meta
     assert scalars[0].initial.yhat is None and scalars[0].records[0].z is None
-    assert plotdata_rows(scalars) == plotdata_rows(loaded[0][1])
+    assert all(r.yhat is None and r.yhat_next is None for h in scalars for r in h.records)
+    assert output("plotdata", str(path)) == "\n".join(plotdata_rows(read)) + "\n"
+    assert plotdata_rows(scalars) == plotdata_rows(read)
+    assert output("compare", str(path), str(path)) == \
+        "\n".join(compare_rows(meta, read, meta, read)) + "\n"
+    assert compare_rows(meta, scalars, meta, scalars) == compare_rows(meta, read, meta, read)
 
 
 def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):

@@ -12,9 +12,8 @@ from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE, loss_value, pointwise, project_ball
 from confit.solver import (ProjectionProblem, SolverOptions, lipschitz_probe,
                            project, project_ball_intersection, project_blend)
-from oracles import (ball_multiplier_bisection, dykstra_reference, grid_search_2d,
-                     grid_search_3d, mse_ball_box_oracle, pdhg_reference,
-                     pdhg_unrestarted_reference)
+from oracles import (ball_multiplier_bisection, dykstra_reference, grid_search,
+                     mse_ball_box_oracle, pdhg_reference, pdhg_unrestarted_reference)
 
 HUBER = LossSpec("huber", huber_m=0.1)
 ALL = (MSE, MAE, HUBER)
@@ -107,7 +106,7 @@ def grid_oracle_check(spec, anchor, cs, ball=None, step=1e-3, tol=2e-3):
             ok &= pointwise(spec, pts - center[None, :]).mean(axis=1) <= beta + 1e-12
         return ok
 
-    _, optimal = grid_search_2d(objective, feasible, step=step)
+    _, optimal = grid_search(objective, feasible, 2, step=step)
     if ball is None:
         rep = project(ProjectionProblem(spec, anchor, cs), TIGHT)
     else:
@@ -152,7 +151,7 @@ def test_grid_oracle_three_dimensional():
             ok &= np.all(pts @ a.T <= b[None, :] + 1e-12, axis=1)
             return ok
 
-        _, optimal = grid_search_3d(objective, feasible, step=1e-2)
+        _, optimal = grid_search(objective, feasible, 3, step=1e-2)
         rep = project(ProjectionProblem(spec, anchor, cs), TIGHT)
         gap = np.abs(optimal - rep.solution[None, :]).max(axis=1).min()
         assert gap <= 2e-2, f"{spec.kind}: gap {gap:.3e}"
@@ -739,13 +738,13 @@ def test_pdhg_routes_return_members_and_are_idempotent(seed, n, m, route, beta, 
     assert np.max(np.abs(again.solution - rep.solution)) <= 1e-7
 
 
-def _mse_solve(cs, beta):
-    """The mse projection onto `cs`, inside the ball of radius `beta` around
-    its feasible point unless `beta` is None: a `dykstra` or `dykstra-ball`
-    solve at TIGHT."""
+def _solve(spec, cs, beta):
+    """The projection under `spec` onto `cs`, inside the ball of radius `beta`
+    around its feasible point unless `beta` is None, at TIGHT. Under mse it
+    is a `dykstra` or `dykstra-ball` solve."""
     if beta is None:
-        return lambda target: project(ProjectionProblem(MSE, target, cs), TIGHT)
-    return lambda target: project_ball_intersection(MSE, target, cs.feasible_point, beta,
+        return lambda target: project(ProjectionProblem(spec, target, cs), TIGHT)
+    return lambda target: project_ball_intersection(spec, target, cs.feasible_point, beta,
                                                     cs, TIGHT)
 
 
@@ -757,7 +756,7 @@ def test_dykstra_routes_return_members_and_are_idempotent(seed, n, m, beta):
     cs = random_polytope(rng, n, m)
     anchor = rng.uniform(-0.5, 1.5, n)
     anchor[0] = -0.5  # outside the box, so never already feasible
-    solve = _mse_solve(cs, beta)
+    solve = _solve(MSE, cs, beta)
     rep = solve(anchor)
     assert rep.method == ("dykstra" if beta is None else "dykstra-ball")
     assert rep.converged and rep.state is None
@@ -769,18 +768,23 @@ def test_dykstra_routes_return_members_and_are_idempotent(seed, n, m, beta):
     assert np.max(np.abs(again.solution - rep.solution)) <= 1e-7
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 8),
+       equalities=st.integers(0, 1), spec=st.sampled_from([MSE, MAE]),
        beta=st.sampled_from([None, 0.005, 0.02, 0.1]))
-def test_mse_projection_is_nonexpansive(seed, n, m, beta):
-    # with or without the ball, the set is convex and the projection Euclidean
+def test_projection_is_lipschitz(seed, n, m, equalities, spec, beta):
+    # with or without the ball the set is convex: the mse projection is
+    # Euclidean, so nonexpansive, and the mae projection is at most
+    # 2-Lipschitz in the L1 norm
+    order, bound = (2, 1.0) if spec is MSE else (1, 2.0)
     rng = np.random.default_rng(seed)
-    cs = random_polytope(rng, n, m)
+    cs = random_polytope(rng, n, m, equalities=equalities)
     x1, x2 = rng.uniform(-0.5, 1.5, (2, n))
-    solve = _mse_solve(cs, beta)
+    solve = _solve(spec, cs, beta)
     p1, p2 = solve(x1), solve(x2)
     assert p1.converged and p2.converged
-    assert np.linalg.norm(p1.solution - p2.solution) <= np.linalg.norm(x1 - x2) + 1e-8
+    assert np.linalg.norm(p1.solution - p2.solution, order) <= \
+        bound * np.linalg.norm(x1 - x2, order) + 1e-8
 
 
 def test_geometry_built_once_per_constraint_set(monkeypatch):
