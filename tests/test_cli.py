@@ -560,6 +560,16 @@ def _retag(tags):
     return damage
 
 
+def _in_fold(j, damage):
+    """Applies `damage` to the file meta and fold j's records, as if they were
+    the whole file, and puts the result back in fold j's place."""
+    def apply(lines):
+        at = [k for k, line in enumerate(lines) if json.loads(line).get("fold") == j]
+        damaged = damage(lines[:1] + lines[at[0]:at[-1] + 1])
+        return lines[:at[0]] + damaged[1:] + lines[at[-1] + 1:]
+    return apply
+
+
 def _split_fold(lines):
     """Moves fold 0's last record after fold 1's, so fold 0 is in two runs."""
     last = max(k for k, line in enumerate(lines) if json.loads(line).get("fold") == 0)
@@ -585,11 +595,23 @@ def _split_fold(lines):
     (_retag({0: 0, 1: 9}), "fold tag 9 out of order"),
     (_retag({0: 1, 1: 0}), "fold tag 1 out of order"),
     (_split_fold, "fold tag 0 out of order"),
+    # the same damage in the other fold: 11 lines, fold 1 from line 7 on
+    (_in_fold(1, lambda lines: lines[:2] + [lines[2][:40]]), "line 8 is not valid JSON"),
+    (_in_fold(1, lambda lines: lines[:1] + ["[1, 2]"] + lines[2:]),
+     "line 7 is not a JSON object"),
+    (_in_fold(1, lambda lines: lines[:2]),
+     "fold 1: history stream must start with a meta record and then an initial record"),
+    (_in_fold(1, _edit_line(3, lambda rec: rec.pop("residual"))),
+     "fold 1: IterationRecord: missing field 'residual'"),
+    (_in_fold(1, _edit_line(3, lambda rec: rec.update(residual="0.5"))),
+     "fold 1: IterationRecord.residual"),
+    (_in_fold(0, lambda lines: lines[:-1]), "unequal iteration counts"),
 ], ids=["format-3-cut-mid-line", "format-3-not-an-object", "format-3-meta-only",
         "format-3-missing-field", "format-3-wrong-type", "format-3-unequal-folds",
         "format-3-read-as-format-2", "format-1-without-yhat", "unknown-format",
         "format-3-vectors-meta", "folds-miscounted", "fold-tagged-true", "fold-tagged-9",
-        "folds-swapped", "fold-split"])
+        "folds-swapped", "fold-split", "cut-mid-line", "not-an-object", "meta-only",
+        "missing-field", "wrong-type", "unequal-folds"])
 def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
                                            capsys, caplog):
     # the file keeps its intact sidecar; each command prints one line
