@@ -64,16 +64,16 @@ def didi_value(z: np.ndarray, protected) -> float:
     """Sum over protected features and group values of
     |mean(z) - mean(z over the group)|."""
     z = np.asarray(z, dtype=float)
-    overall = z.mean()
+    overall = np.add.reduce(z, axis=None) / z.size  # the bits of .mean()
     total = 0.0
     for spec in protected:
         for value in spec.group_values():
             rows = spec.groups[value]
             if rows.size == 0:
                 raise ValueError(f"empty group {value} in protected feature {spec.feature_index}")
-            if rows.max() >= z.size:
+            if np.maximum.reduce(rows) >= z.size:
                 raise ValueError("group row index out of range")
-            total += abs(overall - z[rows].mean())
+            total += abs(overall - np.add.reduce(z[rows], axis=None) / rows.size)
     return float(total)
 
 
@@ -174,13 +174,13 @@ def _stacked_rows(cs: ConstraintSet) -> tuple[np.ndarray, np.ndarray]:
 def _worst_violation(lower, upper, a, b, m_ineq, x) -> float:
     """The largest amount by which x leaves a bound, exceeds an inequality row
     (the first m_ineq rows of a) or misses an equality row; 0 inside the set."""
-    worst = max(float(np.max(lower - x, initial=0.0)),
-                float(np.max(x - upper, initial=0.0)))
+    top = np.maximum.reduce  # np.max without its Python wrapper
+    worst = max(float(top(lower - x, initial=0.0)), float(top(x - upper, initial=0.0)))
     if a.shape[0]:
         resid = a @ x - b
-        worst = max(worst, float(np.max(resid[:m_ineq], initial=0.0)))
+        worst = max(worst, float(top(resid[:m_ineq], initial=0.0)))
         if a.shape[0] > m_ineq:
-            worst = max(worst, float(np.max(np.abs(resid[m_ineq:]))))
+            worst = max(worst, float(top(np.abs(resid[m_ineq:]))))
     return worst
 
 

@@ -1,5 +1,5 @@
-"""Experiment orchestration: fold preparation, per-(algorithm, alpha, fold)
-runs on a bounded worker pool, and machine-readable artifacts.
+"""Experiment orchestration: fold preparation, one constraint set per fold, runs
+per (algorithm, alpha, fold) on a bounded worker pool, and machine-readable artifacts.
 
 Artifacts per run directory:
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from .data import (ColumnRoles, Dataset, apply_normalization, fold_indices,
                    load_csv, normalize, ordinal_encode)
 from .driver import IterationHistory, RunConfig, encode_fields, run
 from .errors import ConfitError, DataError
+from .losses import loss_norm
 from .metrics import SERIES_NAMES, FoldSummary, significance_flag, summarize_folds
 
 log = logging.getLogger("confit")
@@ -70,10 +72,11 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
         return ds.with_protected([ds.feature_names.index(name)
                                   for name in cfg.dataset.protected])
 
-    all_rows = np.arange(table.n)
     out = []
     for j, test_rows in enumerate(fold_indices(table.n, cfg.run.folds, cfg.run.seed)):
-        rows = table.select_rows(np.setdiff1d(all_rows, test_rows))
+        in_train = np.ones(table.n, dtype=bool)  # np.setdiff1d would import numpy.ma
+        in_train[test_rows] = False
+        rows = table.select_rows(np.flatnonzero(in_train))
         train = normalize(rows, target) if by_fold else apply_normalization(rows, target, full)
         test = apply_normalization(table.select_rows(test_rows), target,
                                    train if by_fold else full)
@@ -103,9 +106,9 @@ def build_constraints(cfg: ExperimentConfig, train: Dataset) -> ConstraintSet:
 
 
 def _run_task(args) -> IterationHistory:
-    cfg, algorithm, alpha, fold = args
+    cfg, algorithm, alpha, fold, constraints = args
     run_config = RunConfig(
-        alpha=alpha, constraints=build_constraints(cfg, fold.train), beta=cfg.run.beta,
+        alpha=alpha, constraints=constraints, beta=cfg.run.beta,
         iterations=cfg.run.iterations, loss=cfg.run.loss, learner=cfg.run.learner,
         algorithm=algorithm, solver=cfg.solver, seed=cfg.run.seed)
     return run(run_config, fold.train, fold.test)
@@ -123,6 +126,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
                    out_dir: str | None = None) -> dict:
     """Execute every (algorithm, alpha, fold) run and write artifacts.
 
+    Each fold's constraint set is built and certified once, for all its tasks.
     Tasks are independent; with jobs > 1 they are dispatched to a process
     pool, and results are always collected in task order so outputs do not
     depend on scheduling.
@@ -131,10 +135,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     folds = prepare_folds(cfg)
-    tasks = [(cfg, algorithm, alpha, fold)
+    sets = [build_constraints(cfg, fold.train) for fold in folds]
+    tasks = [(cfg, algorithm, alpha, fold, cs)
              for algorithm in cfg.run.algorithms
              for alpha in cfg.run.alphas
-             for fold in folds]
+             for fold, cs in zip(folds, sets)]
     log.info("running %d tasks (%d algorithms x %d alphas x %d folds), jobs=%d",
              len(tasks), len(cfg.run.algorithms), len(cfg.run.alphas), len(folds), jobs)
     if jobs > 1:
@@ -144,7 +149,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
         results = [_run_task(t) for t in tasks]
 
     grouped: dict[tuple[str, float], list[IterationHistory]] = {}
-    for (cfg_, algorithm, alpha, fold), history in zip(tasks, results):
+    for (_, algorithm, alpha, *_), history in zip(tasks, results):
         grouped.setdefault((algorithm, alpha), []).append(history)
 
     artifacts = {"histories": [], "summary": str(out / "summary.csv"),
@@ -224,7 +229,8 @@ def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationH
     """Read a format-3 history back; a malformed file, or one of another
     format, raises DataError naming it. The sidecar must exist and have the
     size the file meta records; it is read only with `vectors`, and without
-    it the histories' arrays are None."""
+    it the histories' arrays are None. With them, each fold's first residual
+    must follow from its vectors, and fold 0 have the rows the meta records."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such history file: {path}")
@@ -254,13 +260,23 @@ def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationH
         raise DataError(f"{path}: folds have unequal iteration counts {lengths}")
     rows = _check_sidecar(path, filemeta, histories)
     if vectors:
-        # one read, after every check; each fold's vectors are rows of a view into it
+        # one read, after every record check; each fold's vectors are rows of a view into it
         data = np.fromfile(sidecar_path(path), dtype="<f8")
         offset = 0
-        for n, history in zip(rows, histories):
+        for j, (n, history) in enumerate(zip(rows, histories)):
             count = 1 + 2 * len(history.records)
             history.set_vectors(data[offset:offset + count * n].reshape(count, n))
             offset += count * n
+            step = history.records[0] if history.records else None
+            if step is not None and not math.isclose(  # norms may differ in the last bits
+                    loss_norm(history.loss, step.yhat_next - step.yhat), step.residual,
+                    rel_tol=1e-9):
+                raise DataError(f"{path}: fold {j}: its vectors do not give its first "
+                                "step's residual; the file meta's rows misframe the sidecar")
+        dataset = filemeta.get("dataset")
+        if not isinstance(dataset, dict) or dataset.get("rows_train_fold0") != rows[0]:
+            raise DataError(f"{path}: fold 0 has {rows[0]} rows, the file meta's dataset "
+                            "entry records another count")
     return filemeta, histories
 
 

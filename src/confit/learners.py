@@ -201,7 +201,9 @@ def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b-th distinct value of column f (padded with +inf up to `width`).
     """
     n, d = x.shape
-    distinct = [np.unique(x[:, f]) for f in range(d)]
+    # distinct values by a sort and a neighbour compare: np.unique would import numpy.ma
+    s = np.sort(x, axis=0)
+    distinct = [c[np.append(c[:1] == c[:1], c[1:] != c[:-1])] for c in s.T]
     width = max((u.size for u in distinct), default=0)
     values = np.full((d, width), np.inf)
     codes = np.empty((n, d), dtype=np.int64)

@@ -72,7 +72,7 @@ def loss_value(spec: LossSpec, z: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {z.shape} vs {y.shape}")
     if z.size == 0:
         raise ValueError("loss of empty vectors is undefined")
-    return float(np.mean(pointwise(spec, z - y)))
+    return float(np.add.reduce(pointwise(spec, z - y), axis=None) / z.size)  # as .mean()
 
 
 def prox_unit(spec: LossSpec, t, v: np.ndarray, anchor: np.ndarray) -> np.ndarray:

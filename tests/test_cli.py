@@ -21,8 +21,8 @@ from confit.config import ExperimentConfig, load_config, resolved_dataset_path
 from confit.data import ColumnRoles, fold_indices, load_csv, normalize, ordinal_encode
 from confit.errors import ConfigError, DataError
 from confit.driver import IterationHistory
-from confit.experiment import (_run_task, compare_rows, load_history_file, plotdata_rows,
-                               prepare_folds, sidecar_path, write_history_file)
+from confit.experiment import (_run_task, build_constraints, compare_rows, load_history_file,
+                               plotdata_rows, prepare_folds, sidecar_path, write_history_file)
 from confit.synth import write_school_csv
 from oracles import full_normalization_folds
 
@@ -319,7 +319,8 @@ def test_plotdata_single_fold_zero_std(tmp_path, csv_50):
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
     fold = prepare_folds(cfg_obj)[0]
-    history = _run_task((cfg_obj, "affine_extension", 0.5, fold))
+    history = _run_task((cfg_obj, "affine_extension", 0.5, fold,
+                         build_constraints(cfg_obj, fold.train)))
     single = tmp_path / "single.jsonl"
     write_history_file(single, cfg_obj, "affine_extension", 0.5, [history])
     _, folds = load_history_file(single)
@@ -455,7 +456,8 @@ def test_compare_flags_disjoint_distributions(tmp_path, csv_50, capsys):
     cfg = write_config(tmp_path, csv_50)
     cfg_obj = load_config(cfg)
     folds = prepare_folds(cfg_obj)
-    histories = [_run_task((cfg_obj, "affine_extension", 0.5, f)) for f in folds]
+    histories = [_run_task((cfg_obj, "affine_extension", 0.5, f,
+                            build_constraints(cfg_obj, f.train))) for f in folds]
     shifted = []
     for h in histories:
         records = h.to_records()
@@ -664,7 +666,8 @@ def assert_same_fields(a, b, where="history"):
 
 def test_history_round_trip(tmp_path, csv_50, capsys, monkeypatch):
     cfg = load_config(write_config(tmp_path, csv_50, iterations=5))
-    histories = [_run_task((cfg, "affine_extension", 0.5, fold)) for fold in prepare_folds(cfg)]
+    histories = [_run_task((cfg, "affine_extension", 0.5, fold, build_constraints(cfg, fold.train)))
+                 for fold in prepare_folds(cfg)]
     histories[0].records[1].z[:3] = [np.nan, -0.0, np.inf]  # bits the sidecar must keep
     assert np.isnan(histories[0].records[0].contraction)  # NaN is covered
     path = tmp_path / "history.jsonl"
