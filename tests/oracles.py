@@ -857,3 +857,53 @@ def mae_pair_prox_reference(t, v, a1, a2, w2):
     return np.where(below < lo, below,
                     np.where(above > hi, above,
                              np.where((middle > lo) & (middle < hi), middle, at_kink)))
+
+
+def didi_by_mean(z, protected):
+    """The disparate-impact index with every mean taken by ndarray.mean:
+    groups in increasing order of their value, as the package sums them."""
+    z = np.asarray(z, dtype=float)
+    overall = z.mean()
+    total = 0.0
+    for spec in protected:
+        for value in sorted(spec.groups):
+            total += abs(overall - z[spec.groups[value]].mean())
+    return float(total)
+
+
+def r_squared_by_mean(y_true, y_pred):
+    """1 - SS_res/SS_tot with ndarray.mean and ndarray.sum."""
+    ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
+    return 1.0 - float(((y_true - y_pred) ** 2).sum()) / ss_tot
+
+
+def mean_loss_by_mean(pointwise, z, y):
+    """np.mean of the pointwise losses `pointwise(z - y)`."""
+    return float(np.mean(pointwise(z - y)))
+
+
+def worst_violation_by_max(lower, upper, a, b, m_ineq, x):
+    """The worst violation of x on bounds and stacked rows (the first m_ineq
+    of them inequalities, the rest equalities), each part taken by np.max."""
+    worst = max(float(np.max(lower - x, initial=0.0)), float(np.max(x - upper, initial=0.0)))
+    if a.shape[0]:
+        resid = a @ x - b
+        worst = max(worst, float(np.max(resid[:m_ineq], initial=0.0)))
+        if a.shape[0] > m_ineq:
+            worst = max(worst, float(np.max(np.abs(resid[m_ineq:]))))
+    return worst
+
+
+def bin_features_by_unique(x):
+    """Per-column bins by np.unique: codes[i, f] = f * width + the rank of
+    x[i, f] among column f's distinct values, which values[f] lists, padded
+    with +inf up to the widest column."""
+    n, d = x.shape
+    distinct = [np.unique(x[:, f]) for f in range(d)]
+    width = max((u.size for u in distinct), default=0)
+    values = np.full((d, width), np.inf)
+    codes = np.empty((n, d), dtype=np.int64)
+    for f, u in enumerate(distinct):
+        values[f, :u.size] = u
+        codes[:, f] = np.searchsorted(u, x[:, f]) + f * width
+    return codes, values

@@ -16,13 +16,15 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import confit
+import confit.experiment as experiment
 from confit.cli import main
 from confit.config import ExperimentConfig, load_config, resolved_dataset_path
 from confit.data import ColumnRoles, fold_indices, load_csv, normalize, ordinal_encode
 from confit.errors import ConfigError, DataError
 from confit.driver import IterationHistory
 from confit.experiment import (_run_task, build_constraints, compare_rows, load_history_file,
-                               plotdata_rows, prepare_folds, sidecar_path, write_history_file)
+                               plotdata_rows, prepare_folds, run_experiment, sidecar_path,
+                               write_history_file)
 from confit.synth import write_school_csv
 from oracles import full_normalization_folds
 
@@ -645,6 +647,34 @@ def test_damaged_sidecar_is_a_data_error(tmp_path, history_lines, damage, capsys
     assert "unhandled failure" not in caplog.text
 
 
+def _move_a_row(filemeta):
+    """Moves one row of the file meta's `vectors` entry from fold 0 to fold 1:
+    the sidecar keeps its size, but both folds' vectors are misframed."""
+    rows = filemeta["vectors"]["rows"]
+    rows[:2] = [rows[0] - 1, rows[1] + 1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_move_a_row, "fold 0: its vectors do not give its first step's residual"),
+    (lambda filemeta: (_move_a_row(filemeta),
+                       filemeta["dataset"].update(rows_train_fold0=filemeta["vectors"]["rows"][0])),
+     "fold 0: its vectors do not give its first step's residual"),
+    (lambda filemeta: filemeta["dataset"].update(rows_train_fold0=7),
+     "fold 0 has 25 rows, the file meta's dataset entry records another count"),
+], ids=["row-moved", "row-moved-and-recounted", "fold-0-miscounted"])
+def test_misframed_sidecar_is_a_data_error(tmp_path, history_lines, edit, message, capsys):
+    # the sidecar's size is right, so only a read of the vectors can tell
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(_edit_line(0, edit)(history_lines["lines"])) + "\n")
+    sidecar_path(path).write_bytes(history_lines["sidecar"])
+    with pytest.raises(DataError, match=re.escape(message)) as caught:
+        load_history_file(path)
+    assert str(caught.value).startswith(f"{path}: ") and "fold 1" not in str(caught.value)
+    load_history_file(path, vectors=False)
+    assert main(["plotdata", str(path)]) == 0
+    capsys.readouterr()
+
+
 def assert_same_fields(a, b, where="history"):
     """Dataclasses field by field: arrays bit for bit, NaN equal to NaN."""
     assert type(a) is type(b), where
@@ -732,6 +762,29 @@ def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
+def test_run_experiment_builds_one_constraint_set_per_fold(tmp_path, csv_50, monkeypatch):
+    # 2 algorithms x 2 alphas x 3 folds: 12 tasks, 3 sets, each shared by its fold's 4 tasks
+    cfg = load_config(write_config(tmp_path, csv_50, alphas="[0.1, 0.5]", folds=3,
+                                   algorithms="[affine_extension, moving_targets]"))
+    built, used = [], {}
+    build, run = experiment.build_constraints, experiment.run
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recorded_run(config, train, test):
+        used.setdefault(id(train), []).append(config.constraints)
+        return run(config, train, test)
+
+    monkeypatch.setattr(experiment, "build_constraints", counted_build)
+    monkeypatch.setattr(experiment, "run", recorded_run)
+    run_experiment(cfg, jobs=1, out_dir=str(tmp_path / "out"))
+    assert len(built) == 3 and len(used) == 3
+    for sets, cs in zip(used.values(), built):
+        assert len(sets) == 4 and all(s is cs for s in sets)
+
+
 def test_cli_import_leaves_yaml_unloaded():
     # plotdata and compare never parse YAML, so only load_config imports it
     src = Path(confit.__file__).resolve().parents[1]
@@ -741,3 +794,25 @@ def test_cli_import_leaves_yaml_unloaded():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_run_leaves_numpy_ma_unloaded(tmp_path, csv_50):
+    # np.unique and np.setdiff1d import numpy.ma on their first call; a run
+    # avoids both, so it never pays for that import
+    src = Path(confit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\n"
+                               "print('numpy.ma' in sys.modules)"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    if loaded("import numpy") == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    cfg = write_config(tmp_path, csv_50, algorithms="[affine_extension, moving_targets]",
+                       learner="{kind: gbt, n_trees: 3, max_depth: 2}")
+    # in this process: a worker pool would load it, if at all, in the workers
+    assert loaded("from confit.cli import main\n"
+                  f"assert main(['run', '--config', {str(cfg)!r}, '--jobs', '1']) == 0") == "False"

@@ -1,15 +1,19 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from confit import learners
+from confit.config import load_config
 from confit.errors import DataError
+from confit.experiment import prepare_folds
 from confit.learners import FittedModel, LearnerSpec, _leaf_value, fit, predict
 from confit.losses import LossSpec, MSE, MAE, gradient, loss_value
-from oracles import (best_stump_brute, hat_matrix, huber_location_bisection,
-                     predict_tree_by_tree, sorted_scan_tree, training_curve)
+from oracles import (best_stump_brute, bin_features_by_unique, hat_matrix,
+                     huber_location_bisection, predict_tree_by_tree, sorted_scan_tree,
+                     training_curve)
 
 HUBER = LossSpec("huber")
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
@@ -74,6 +78,36 @@ def _same_trees(a, b):
     return len(a) == len(b) and all(
         np.array_equal(getattr(s, name), getattr(t, name))
         for s, t in zip(a, b) for name in ("feature", "threshold", "left", "right", "value"))
+
+
+def test_bins_of_the_school_folds_are_those_of_np_unique():
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "school.yaml")
+    for fold in prepare_folds(config):
+        codes, values = learners._bin_features(fold.train.x)
+        want_codes, want_values = bin_features_by_unique(fold.train.x)
+        assert np.array_equal(codes, want_codes)
+        assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 5),
+       levels=st.integers(1, 8))
+def test_bins_are_those_of_np_unique(seed, n, d, levels):
+    # few levels per column, so most values repeat
+    x = np.random.default_rng(seed).integers(0, levels, (n, d)) / levels
+    codes, values = learners._bin_features(x)
+    want_codes, want_values = bin_features_by_unique(x)
+    assert np.array_equal(codes, want_codes)
+    assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
+
+
+def test_bins_of_signed_zeros_are_those_of_np_unique():
+    # 0.0 and -0.0 are one value: either may stand for it, but the codes agree
+    x = np.array([[0.0, 1.0], [-0.0, 0.0], [0.5, -0.0], [-0.0, -0.0], [0.0, 2.0]])
+    codes, values = learners._bin_features(x)
+    want_codes, want_values = bin_features_by_unique(x)
+    assert np.array_equal(codes, want_codes)
+    assert values.shape == want_values.shape and np.array_equal(values, want_values)
 
 
 @pytest.mark.parametrize("loss", (MSE, MAE, HUBER), ids=lambda s: s.kind)
