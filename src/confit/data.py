@@ -4,6 +4,7 @@ protected-feature grouping, and deterministic k-fold splitting."""
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -57,10 +58,22 @@ class RawTable:
             raise DataError(f"column index {idx} out of range for {self.d} columns")
         return idx
 
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """The cells as an (n, d) float grid (`_float_grid`), parsed on first
+        use and kept; the rows must not change after that. `replace` makes a
+        table that parses its own rows."""
+        return _float_grid(self)
+
     def select_rows(self, indices) -> "RawTable":
+        """The table of the given rows. If this table's grid is parsed, the
+        new table's grid is its rows, not a second parse."""
         rows = [self.rows[i] for i in indices]
         lines = None if self.lines is None else [self.lines[i] for i in indices]
-        return RawTable(list(self.columns), rows, 0, dict(self.encodings), lines)
+        table = RawTable(list(self.columns), rows, 0, dict(self.encodings), lines)
+        if "grid" in self.__dict__:
+            table.grid = self.grid[np.asarray(indices, dtype=np.intp)]
+        return table
 
 
 @dataclass(frozen=True)
@@ -236,7 +249,7 @@ def _scaled(table: RawTable, target_column, grid: np.ndarray, lo, hi) -> Dataset
 def normalize(table: RawTable, target_column) -> Dataset:
     """Map every column affinely onto [0,1] (constant columns to 0.0) and split
     off the target, keeping the (min, max) pairs for the inverse transform."""
-    grid = _float_grid(table)
+    grid = table.grid
     return _scaled(table, target_column, grid, grid.min(axis=0), grid.max(axis=0))
 
 
@@ -253,7 +266,7 @@ def apply_normalization(table: RawTable, target_column, reference: Dataset) -> D
     ranges = list(reference.feature_ranges)
     ranges.insert(tgt, reference.target_range)
     lo, hi = np.array(ranges, dtype=float).T
-    return _scaled(table, tgt, _float_grid(table), lo, hi)
+    return _scaled(table, tgt, table.grid, lo, hi)
 
 
 def _group_rows(raw_values: np.ndarray) -> dict[int, np.ndarray]:

@@ -333,7 +333,8 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
     gauges = _Metrics(train, test)
 
     # each prediction is held once: a step's `yhat` is the previous step's
-    # `yhat_next` (the initial `yhat` for step 1); nothing writes into them
+    # `yhat_next` (the initial `yhat` for step 1), and its `z` is the solver's
+    # solution, a fresh array; nothing writes into them
     reuse = {}  # what the refits of train.x share, such as the ridge factor
     model = fit(config.learner, train.x, train.y, loss, reuse)
     yhat = model.train_prediction
@@ -390,7 +391,7 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
         contraction = residual / prev_residual if prev_residual else float("nan")
         c_train, c_test = gauges.ratios(yhat_next, yhat_test)
         history.records.append(IterationRecord(
-            i=i, branch=branch, z=z.copy(), yhat=yhat, yhat_next=yhat_next,
+            i=i, branch=branch, z=z, yhat=yhat, yhat_next=yhat_next,
             r2_train=_safe_r2(train.y, yhat_next), r2_test=_safe_r2(test.y, yhat_test),
             c_train=c_train, c_test=c_test, residual=residual, contraction=contraction,
             solver_method=report.method, solver_iterations=report.iterations,

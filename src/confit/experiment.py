@@ -24,6 +24,7 @@ their float64 bytes, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import json
 import logging
 import math
@@ -129,7 +130,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     Each fold's constraint set is built and certified once, for all its tasks.
     Tasks are independent; with jobs > 1 they are dispatched to a process
     pool, and results are always collected in task order so outputs do not
-    depend on scheduling.
+    depend on scheduling. Each (algorithm, alpha) history file is written as
+    soon as its last fold returns, and only its summary rows and meta entry
+    are kept past that.
     """
     validate_dataset_columns(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -142,45 +145,50 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
              for fold, cs in zip(folds, sets)]
     log.info("running %d tasks (%d algorithms x %d alphas x %d folds), jobs=%d",
              len(tasks), len(cfg.run.algorithms), len(cfg.run.alphas), len(folds), jobs)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    keys = [(algorithm, alpha) for _, algorithm, alpha, *_ in tasks]
+    last = {key: i for i, key in enumerate(keys)}
+    pending: dict[tuple[str, float], list[IterationHistory]] = {}
+    written = dict.fromkeys(keys)  # in first-task order, as the summary and meta list them
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_run_task, tasks)
+        else:
+            results = map(_run_task, tasks)
+        for i, key in enumerate(keys):
+            pending.setdefault(key, []).append(next(results))
+            if last[key] == i:
+                written[key] = _write_group(out, cfg, *key, pending.pop(key))
 
-    grouped: dict[tuple[str, float], list[IterationHistory]] = {}
-    for (_, algorithm, alpha, *_), history in zip(tasks, results):
-        grouped.setdefault((algorithm, alpha), []).append(history)
-
-    artifacts = {"histories": [], "summary": str(out / "summary.csv"),
-                 "meta": str(out / "run_meta.json")}
-    summary_rows = []
-    meta_runs = []
-    for (algorithm, alpha), histories in grouped.items():
-        fname = history_filename(algorithm, cfg.run.loss.kind, alpha)
-        path = out / fname
-        write_history_file(path, cfg, algorithm, alpha, histories)
-        artifacts["histories"].append(str(path))
-        summary = summarize_folds(histories)
-        summary_rows += [(algorithm, alpha, j, "fold", {name: summary.finals[name][j]
-                                                        for name in SERIES_NAMES})
-                         for j in range(len(histories))]
-        summary_rows += [(algorithm, alpha, "", "mean", summary.mean),
-                         (algorithm, alpha, "", "std", summary.std)]
-        meta_runs.append({
-            "algorithm": algorithm, "alpha": alpha, "history_file": fname,
-            "verdict": encode_fields(histories[0].verdict),
-            "branch_counts": [h.branch_counts for h in histories],
-        })
-    _write_summary_csv(out / "summary.csv", summary_rows)
+    _write_summary_csv(out / "summary.csv", [row for _, rows, _ in written.values()
+                                             for row in rows])
     meta = {
         "config": encode_fields(cfg, exclude=("output_dir", "source_path")),
         "seed": cfg.run.seed,
-        "runs": meta_runs,
+        "runs": [entry for _, _, entry in written.values()],
     }
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
-    return artifacts
+    return {"histories": [path for path, _, _ in written.values()],
+            "summary": str(out / "summary.csv"), "meta": str(out / "run_meta.json")}
+
+
+def _write_group(out: Path, cfg: ExperimentConfig, algorithm: str, alpha: float,
+                 histories: list[IterationHistory]) -> tuple[str, list, dict]:
+    """Write one (algorithm, alpha) history file; returns its path, its
+    summary rows and its `run_meta.json` entry."""
+    fname = history_filename(algorithm, cfg.run.loss.kind, alpha)
+    write_history_file(out / fname, cfg, algorithm, alpha, histories)
+    summary = summarize_folds(histories)
+    rows = [(algorithm, alpha, j, "fold", {name: summary.finals[name][j]
+                                           for name in SERIES_NAMES})
+            for j in range(len(histories))]
+    rows += [(algorithm, alpha, "", "mean", summary.mean),
+             (algorithm, alpha, "", "std", summary.std)]
+    entry = {"algorithm": algorithm, "alpha": alpha, "history_file": fname,
+             "verdict": encode_fields(histories[0].verdict),
+             "branch_counts": [h.branch_counts for h in histories]}
+    return str(out / fname), rows, entry
 
 
 def sidecar_path(path) -> Path:

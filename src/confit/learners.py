@@ -71,9 +71,8 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
     fits of the same matrix reuse. For ridge that is [1, x] and the Cholesky
     factor of its penalized Gram matrix, per `ridge_lambda`. For gbt it is
     the bins of x (`_bin_features`), once, and per `min_samples_leaf` the
-    root level's candidate splits and those of the level below each root
-    split seen so far (`_KeptLevels`). Fits give the same bits with or
-    without it.
+    candidate splits of every tree level seen so far (`_KeptLevels`). Fits
+    give the same bits with or without it.
     """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -216,11 +215,10 @@ def _bin_features(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _KeptLevels:
     """Levels of the trees grown on one training matrix with one `min_leaf`,
-    kept for later trees: the root level, and the level below each root
-    split, as each row's node and slot and the level's `_candidates`, by the
-    split cells above the level, which with the matrix and `min_leaf` are all
-    that a level depends on. Levels are kept while their arrays take at most
-    `_KEPT_BYTES`."""
+    kept for later trees: every level, as each row's node and slot and the
+    level's `_candidates`, by the split positions and cells above the level,
+    which with the matrix and `min_leaf` are all that a level depends on.
+    Levels are kept while their arrays take at most `_KEPT_BYTES`."""
     levels: dict = field(default_factory=dict)
     nbytes: int = 0
 
@@ -244,13 +242,14 @@ def _candidates(key, slot, m, values, min_leaf):
     cells = d * width
     count = np.bincount(key, minlength=(m + 1) * cells)[:m * cells].reshape(m, d, width)
     ni = np.bincount(slot, minlength=m + 1)[:m]
-    nl = np.cumsum(count, axis=2)
+    nl = count.cumsum(axis=2)
     nr = ni[:, None, None] - nl
-    cand = np.flatnonzero((count > 0) & (nl >= min_leaf) & (nr >= min_leaf))
+    cand = ((count > 0) & (nl >= min_leaf) & (nr >= min_leaf)).ravel().nonzero()[0]
     at = cand // cells
-    nonempty = np.flatnonzero(count)  # a candidate's next one is in its node and feature
-    low = values.ravel()[cand % cells]
-    high = values.ravel()[nonempty[np.searchsorted(nonempty, cand, side="right")] % cells]
+    nonempty = count.ravel().nonzero()[0]  # a candidate's next one is in its node and feature
+    flat = values.ravel()
+    low = flat[cand % cells]
+    high = flat[nonempty[nonempty.searchsorted(cand, side="right")] % cells]
     mid = 0.5 * (low + high)
     return cand, at, nl.ravel()[cand], nr.ravel()[cand], ni[at], np.where(mid < high, mid, low)
 
@@ -281,10 +280,10 @@ def _fit_tree(codes, values, kept, grad_target, residual, loss, max_depth, min_l
     open_ids = np.zeros(1, dtype=np.int64)
     splits = []  # (node ids, features, thresholds) per level, in node order
     done = 0  # splits so far: the j-th split's children are nodes 2j+1 and 2j+2
-    weights = np.repeat(grad_target, d)
+    weights = grad_target.repeat(d)
     flat_codes = codes.ravel()
     row_start = np.arange(0, n * d, d)
-    path = ()  # the split cells above this level; None below level 1, which `kept` does not hold
+    path = ()  # the split positions and cells (k, first) of every level above this one
     for depth in range(max_depth):
         m = open_ids.size
         key = (codes + (slot * cells)[:, None]).ravel() if depth else flat_codes
@@ -292,28 +291,29 @@ def _fit_tree(codes, values, kept, grad_target, residual, loss, max_depth, min_l
             found = kept.levels[path][2]
         else:
             found = _candidates(key, slot, m, values, min_leaf)
-            if path is not None:
-                kept.keep(path, node, slot, found)
+            kept.keep(path, node, slot, found)
         cand, at, nl, nr, ni, thr = found
         gsum = np.bincount(key, weights, (m + 1) * cells)[:m * cells].reshape(m, d, width)
-        sl = np.cumsum(gsum, axis=2).ravel()[cand]
+        sl = gsum.cumsum(axis=2).ravel()[cand]
         tot = np.bincount(slot, grad_target, m + 1)[at]
-        gain = np.full(m * cells, -np.inf)
+        gain = np.empty(m * cells)
+        gain.fill(-np.inf)
         gain[cand] = sl * sl / nl + (tot - sl) ** 2 / nr - tot * tot / ni
         gain = gain.reshape(m, cells)
-        best = gain.max(axis=1, initial=-np.inf)
-        k = np.flatnonzero(best > 1e-12)
+        best = np.maximum.reduce(gain, axis=1, initial=-np.inf)
+        k = (best > 1e-12).nonzero()[0]
         if k.size == 0:
             break
-        first = np.argmax(gain[k] >= (best[k] - _TIE_RTOL * best[k])[:, None], axis=1)
+        first = (gain[k] >= (best[k] - _TIE_RTOL * best[k])[:, None]).argmax(axis=1)
         f = first // width  # first = f * width + bin, as in `codes`
-        splits.append((open_ids[k], f, thr[np.searchsorted(cand, k * cells + first)]))
+        splits.append((open_ids[k], f, thr[cand.searchsorted(k * cells + first)]))
 
-        path = (int(first[0]),) if depth == 0 else None
+        path += (k.tobytes(), first.tobytes())
         if path in kept.levels:
             node, slot = kept.levels[path][:2]
         else:
-            rank = np.full(m + 1, -1)
+            rank = np.empty(m + 1, dtype=np.int64)
+            rank.fill(-1)
             rank[k] = np.arange(k.size)
             r = rank[slot]  # -1 for rows whose node stays a leaf; np.where drops them
             side = 2 * r + (flat_codes[row_start + f[r]] > first[r])
@@ -323,19 +323,27 @@ def _fit_tree(codes, values, kept, grad_target, residual, loss, max_depth, min_l
         done += k.size
 
     size = 1 + 2 * done
-    feature = np.full(size, -1, dtype=np.int64)
+    feature = np.empty(size, dtype=np.int64)
+    feature.fill(-1)
     threshold = np.zeros(size)
-    left = np.full(size, -1, dtype=np.int64)
+    left = feature.copy()
     if splits:
         ids, f, thr = map(np.concatenate, zip(*splits))
         feature[ids], threshold[ids], left[ids] = f, thr, 1 + 2 * np.arange(done)
     right = np.where(left < 0, -1, left + 1)
     value = np.zeros(size)
-    by_leaf = residual[np.argsort(node, kind="stable")]
-    bounds = [0] + np.cumsum(np.bincount(node, minlength=size)).tolist()
-    for leaf in np.flatnonzero(feature < 0).tolist():
+    by_leaf = residual[_leaf_order(node, size)]
+    bounds = [0] + np.bincount(node, minlength=size).cumsum().tolist()
+    for leaf in (feature < 0).nonzero()[0].tolist():
         value[leaf] = _leaf_value(loss, by_leaf[bounds[leaf]:bounds[leaf + 1]])
     return _Tree(feature, threshold, left, right, value), node
+
+
+def _leaf_order(node, size):
+    """The rows grouped by node id, ascending within a node: a stable sort of
+    the ids in the smallest unsigned type that holds ids below `size`, which
+    for 16 bits or less is numpy's radix sort."""
+    return node.astype(np.min_scalar_type(size - 1)).argsort(kind="stable")
 
 
 def _fit_gbt(spec: LearnerSpec, x, target, loss, reuse: dict) -> FittedModel:

@@ -94,7 +94,7 @@ class ProjectionProblem:
 
 @dataclass
 class SolverReport:
-    solution: np.ndarray
+    solution: np.ndarray  # a fresh array on every route, shared with no input or state
     primal_residual: float
     dual_residual: float
     iterations: int

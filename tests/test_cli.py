@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import confit
 import confit.experiment as experiment
+from confit import driver, learners
 from confit.cli import main
 from confit.config import ExperimentConfig, load_config, resolved_dataset_path
 from confit.data import ColumnRoles, fold_indices, load_csv, normalize, ordinal_encode
@@ -783,6 +785,56 @@ def test_run_experiment_builds_one_constraint_set_per_fold(tmp_path, csv_50, mon
     assert len(built) == 3 and len(used) == 3
     for sets, cs in zip(used.values(), built):
         assert len(sets) == 4 and all(s is cs for s in sets)
+
+
+def test_each_history_file_is_written_before_the_next_group_runs(tmp_path, csv_50,
+                                                                monkeypatch):
+    # 2 algorithms x 2 alphas x 2 folds: each (algorithm, alpha) file is
+    # written when its last fold returns, and its histories are freed before
+    # the next group's first task runs
+    cfg = load_config(write_config(tmp_path, csv_50, alphas="[0.1, 0.5]", folds=2,
+                                   algorithms="[affine_extension, moving_targets]"))
+    events, alive = [], []
+    run, write = experiment.run, experiment.write_history_file
+
+    def recorded_run(config, train, test):
+        events.append(("run", config.algorithm, config.alpha,
+                        sum(ref() is not None for ref in alive)))
+        history = run(config, train, test)
+        alive.append(weakref.ref(history))
+        return history
+
+    def recorded_write(path, cfg, algorithm, alpha, histories):
+        events.append(("write", algorithm, alpha))
+        write(path, cfg, algorithm, alpha, histories)
+
+    monkeypatch.setattr(experiment, "run", recorded_run)
+    monkeypatch.setattr(experiment, "write_history_file", recorded_write)
+    run_experiment(cfg, jobs=1, out_dir=str(tmp_path / "out"))
+    want = []
+    for algorithm in ("affine_extension", "moving_targets"):
+        for alpha in (0.1, 0.5):
+            want += [("run", algorithm, alpha, 0), ("run", algorithm, alpha, 1),
+                     ("write", algorithm, alpha)]
+    assert events == want
+
+
+@pytest.mark.parametrize("learner", ["{kind: ridge, ridge_lambda: 0.001}",
+                                     "{kind: gbt, n_trees: 3, max_depth: 2}"])
+def test_every_fit_of_a_run_goes_through_the_driver_binding(tmp_path, csv_50, monkeypatch,
+                                                            learner):
+    # the benchmark's first-fit hook and tracer wrap `confit.driver.fit`: every
+    # fit of a run, one per task and iteration, is a call of that binding
+    cfg = load_config(write_config(tmp_path, csv_50, alphas="[0.1, 0.5]", folds=3,
+                                   iterations=4, learner=learner,
+                                   algorithms="[affine_extension, moving_targets]"))
+    bound, fitted = [], []
+    monkeypatch.setattr(driver, "fit", lambda *a, _fit=driver.fit: bound.append(1) or _fit(*a))
+    for name in ("_fit_ridge", "_fit_gbt"):
+        monkeypatch.setattr(learners, name,
+                            lambda *a, _fit=getattr(learners, name): fitted.append(1) or _fit(*a))
+    run_experiment(cfg, jobs=1, out_dir=str(tmp_path / "out"))
+    assert len(bound) == len(fitted) == 2 * 2 * 3 * 4
 
 
 def test_cli_import_leaves_yaml_unloaded():

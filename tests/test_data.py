@@ -1,10 +1,12 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confit import data
 from confit.data import (ColumnRoles, Dataset, RawTable, apply_normalization,
                          build_protected, fold_indices, load_csv,
                          normalize, ordinal_encode, shuffled_indices)
@@ -306,6 +308,50 @@ def assert_both_match_oracle(table, target, cut):
     assert_matches_oracle(
         apply_normalization(table, target, normalize(head, target)),
         per_column_normalization(table.columns, table.rows, target, reference))
+
+
+def test_a_table_parses_its_cells_once(monkeypatch):
+    roles = ColumnRoles(target="grade", categorical=(
+        "school", "sex", "address", "higher", "famsup", "activities", "internet"))
+    table = ordinal_encode(load_csv(SCHOOL, roles), roles.categorical)
+    parsed = []
+    monkeypatch.setattr(data, "_float_grid",
+                        lambda t, _parse=data._float_grid: parsed.append(t) or _parse(t))
+    rows = np.arange(3, table.n, 7)
+    fresh = table.select_rows(rows)  # the table is not parsed yet: its rows parse their own
+    assert table.grid is table.grid and len(parsed) == 1
+    sub = table.select_rows(rows)  # ... and now they take their rows of its grid
+    assert sub.grid.tobytes() == fresh.grid.tobytes() and len(parsed) == 2
+    assert sub.grid.tobytes() == table.grid[rows].tobytes()
+    assert "grid" not in ordinal_encode(table, []).__dict__  # `replace` starts clean
+
+
+@pytest.mark.parametrize("mode", ["train", "full"])
+def test_prepare_folds_parses_the_table_once(monkeypatch, mode):
+    from confit.config import load_config
+    from confit.experiment import prepare_folds
+    cfg = load_config(SCHOOL.parents[1] / "configs" / "school.yaml")
+    cfg = replace(cfg, run=replace(cfg.run, normalization=mode))
+    select = RawTable.select_rows
+
+    def unparsed(table, indices):  # the table of those rows, left to parse its own
+        sub = select(table, indices)
+        sub.__dict__.pop("grid", None)
+        return sub
+
+    monkeypatch.setattr(RawTable, "select_rows", unparsed)
+    want = prepare_folds(cfg)
+    monkeypatch.setattr(RawTable, "select_rows", select)
+    parsed = []
+    monkeypatch.setattr(data, "_float_grid",
+                        lambda t, _parse=data._float_grid: parsed.append(t) or _parse(t))
+    got = prepare_folds(cfg)
+    assert len(parsed) == 1
+    for fold, ref in zip(got, want, strict=True):
+        for ds, ds_ref in ((fold.train, ref.train), (fold.test, ref.test)):
+            assert ds.x.tobytes() == ds_ref.x.tobytes() and ds.y.tobytes() == ds_ref.y.tobytes()
+            assert (ds.feature_ranges, ds.target_range) == (ds_ref.feature_ranges,
+                                                            ds_ref.target_range)
 
 
 def test_school_normalization_matches_per_column_oracle():

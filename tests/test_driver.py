@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from confit.constraints import (build_box, build_didi_constraints, didi_epsilon,
                                 from_inequalities, intersect, is_member)
 from confit.data import Dataset, ProtectedSpec
+from confit import driver
 from confit.driver import (IterationHistory, RunConfig, alpha_convert,
                            check_contraction_condition, run, run_verdict)
 from confit.learners import LearnerSpec
@@ -74,6 +76,72 @@ def test_each_prediction_is_held_once(algorithm):
     steps = history.records
     assert steps[0].yhat is history.initial.yhat
     assert all(s.yhat is r.yhat_next for r, s in zip(steps, steps[1:]))
+
+
+def _ndarrays(*objs):
+    """Every array in `objs`, looking into dicts, sequences and dataclasses."""
+    out = []
+    for obj in objs:
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, dict):
+            out += _ndarrays(*obj.values())
+        elif isinstance(obj, (list, tuple)):
+            out += _ndarrays(*obj)
+        elif dataclasses.is_dataclass(obj):
+            out += _ndarrays(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+    return out
+
+
+def _box_around_y(ds):
+    # the blend of y and a prediction near it is inside, the prediction is not
+    return from_inequalities(np.zeros((0, ds.n)), np.zeros(0), ds.n,
+                             lower=ds.y - 0.02, upper=ds.y + 0.02)
+
+
+# route -> run settings whose every step takes it
+_ROUTE_RUNS = {
+    "dykstra": dict(loss=MSE),
+    "dykstra-ball": dict(loss=MSE, constraints=lambda ds: build_box(-10.0, 10.0, ds.n)),
+    "pdhg": dict(loss=MAE),
+    "pdhg-ball": dict(loss=MAE, constraints=lambda ds: build_box(-10.0, 10.0, ds.n)),
+    "pdhg-blend": dict(loss=MSE, algorithm="moving_targets"),
+    "already-feasible": dict(loss=MSE, alpha=0.1, constraints=_box_around_y),
+    "degenerate-ball": dict(loss=MSE, beta=0.0,
+                            constraints=lambda ds: build_box(-10.0, 10.0, ds.n)),
+    "fallback": dict(loss=MAE, solver=SolverOptions(max_iterations=1),
+                     constraints=lambda ds: build_box(-10.0, 10.0, ds.n)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTE_RUNS))
+def test_each_z_is_an_array_of_its_own(route, monkeypatch):
+    # a step keeps the solver's solution as its z, uncopied: on every route
+    # it must share no memory with the data, a solver input or warm state,
+    # or another record's arrays
+    settings = dict(_ROUTE_RUNS[route])
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng, n=10)
+    build = settings.pop("constraints", lambda ds: tight_polytope(rng, ds.n))
+    config = RunConfig(**{"alpha": 0.5, "beta": 0.05, "iterations": 6, "learner": RIDGE0,
+                          "constraints": build(ds), **settings})
+    seen = []
+    for name in ("project", "project_ball_intersection", "project_blend"):
+        def recorded(*args, _solve=getattr(driver, name), **kwargs):
+            report = _solve(*args, **kwargs)
+            seen.extend(_ndarrays(args, kwargs, report.state))
+            return report
+        monkeypatch.setattr(driver, name, recorded)
+    history = run(config, ds, ds)
+    steps = history.records
+    if route == "fallback":
+        assert any(r.fallback for r in steps)
+    else:
+        assert all(r.solver_method == route and not r.fallback for r in steps)
+    held = seen + _ndarrays(ds, history.initial) + [a for r in steps for a in (r.yhat, r.yhat_next)]
+    for r in steps:
+        others = held + [s.z for s in steps if s is not r]
+        assert not any(np.shares_memory(r.z, a) for a in others), (route, r.i)
 
 
 def test_branch_matches_membership():

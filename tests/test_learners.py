@@ -143,6 +143,75 @@ def test_gbt_refits_of_one_matrix_reuse_its_bins(loss, monkeypatch):
     assert unkept[("gbt", 4)].levels == {}
 
 
+def _gbt_refit_problem(seed=7, n=120):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0, 1, (n, 5)), 2)
+    y = rng.uniform(0, 1, n)
+    return x, [y + 0.05 * k * rng.standard_normal(n) for k in range(3)]
+
+
+@pytest.mark.parametrize("max_depth", (3, 5))
+@pytest.mark.parametrize("loss", (MSE, MAE, HUBER), ids=lambda s: s.kind)
+def test_gbt_refit_of_a_seen_target_searches_no_level(loss, max_depth, monkeypatch):
+    # every level of every tree is kept, so a target fitted before grows the
+    # same trees without one candidate search, and gives the same bits
+    x, targets = _gbt_refit_problem()
+    spec = LearnerSpec("gbt", n_trees=15, max_depth=max_depth, min_samples_leaf=3)
+    fresh = [fit(spec, x, target, loss) for target in targets]
+    searched = []
+    monkeypatch.setattr(learners, "_candidates",
+                        lambda *a, _orig=learners._candidates: searched.append(1) or _orig(*a))
+    reuse = {}
+    for target in targets:
+        fit(spec, x, target, loss, reuse)
+    assert searched
+    kept = reuse[("gbt", 3)]
+    assert max(len(path) for path in kept.levels) == 2 * (max_depth - 1)
+    searched.clear()
+    for target, want in zip(targets, fresh):
+        got = fit(spec, x, target, loss, reuse)
+        assert _same_trees(got.trees, want.trees)
+        assert got.train_prediction.tobytes() == want.train_prediction.tobytes()
+        assert got.training_loss == want.training_loss
+    assert searched == []
+
+
+@pytest.mark.parametrize("share", (0.0, 0.3, 0.7, 1.0))
+def test_gbt_kept_levels_stay_under_their_cap(share, monkeypatch):
+    # a cap at a share of what the fits would keep without one keeps only
+    # what fits, and changes no bit of the fits
+    x, targets = _gbt_refit_problem(seed=8)
+    spec = LearnerSpec("gbt", n_trees=10, max_depth=4, min_samples_leaf=2)
+    uncapped = {}
+    fresh = [fit(spec, x, target, MAE, uncapped) for target in targets]
+    everything = uncapped[("gbt", 2)]
+    cap = int(share * everything.nbytes)
+    monkeypatch.setattr(learners, "_KEPT_BYTES", cap)
+    reuse = {}
+    for target, want in zip(targets, fresh):
+        got = fit(spec, x, target, MAE, reuse)
+        assert _same_trees(got.trees, want.trees)
+        assert got.train_prediction.tobytes() == want.train_prediction.tobytes()
+        kept = reuse[("gbt", 2)]
+        held = sum(node.nbytes + slot.nbytes + sum(a.nbytes for a in found)
+                   for node, slot, found in kept.levels.values())
+        assert kept.nbytes == held <= cap
+    assert (len(kept.levels) == 0) == (share == 0)
+    assert (len(kept.levels) == len(everything.levels)) == (share == 1)
+
+
+@pytest.mark.parametrize("size", (1, 2, 255, 256, 257, 1 << 16, (1 << 16) + 1, 1 << 33))
+def test_leaf_order_is_the_stable_int64_argsort(size):
+    # the narrow-key sort groups rows as the stable argsort of the int64 ids
+    # does, also for ids of 16 bits and more
+    rng = np.random.default_rng(size)
+    for n in (1, 7, 500):
+        node = rng.integers(0, size, n, dtype=np.int64)
+        node[rng.integers(0, n, n // 2)] = size - 1  # ties at the largest id
+        want = np.argsort(node, kind="stable")
+        assert np.array_equal(learners._leaf_order(node, size), want)
+
+
 def test_ridge_prediction_is_hat_matrix_projection():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, (12, 3))
