@@ -62,18 +62,34 @@ class ConstraintSet:
 
 def didi_value(z: np.ndarray, protected) -> float:
     """Sum over protected features and group values of
-    |mean(z) - mean(z over the group)|."""
+    |mean(z) - mean(z over the group)|: the composition of `didi_groups`,
+    which depends on the groups alone, and `didi_given`."""
     z = np.asarray(z, dtype=float)
-    overall = np.add.reduce(z, axis=None) / z.size  # the bits of .mean()
-    total = 0.0
+    return didi_given(z, didi_groups(protected, z.size))
+
+
+def didi_groups(protected, n: int) -> tuple:
+    """The rows and size of every group of every protected feature, in the
+    order `didi_value` sums them, checked once to be non-empty and within n
+    rows."""
+    groups = []
     for spec in protected:
         for value in spec.group_values():
             rows = spec.groups[value]
             if rows.size == 0:
                 raise ValueError(f"empty group {value} in protected feature {spec.feature_index}")
-            if np.maximum.reduce(rows) >= z.size:
+            if np.maximum.reduce(rows) >= n:
                 raise ValueError("group row index out of range")
-            total += abs(overall - np.add.reduce(z[rows], axis=None) / rows.size)
+            groups.append((rows, rows.size))
+    return tuple(groups)
+
+
+def didi_given(z: np.ndarray, groups) -> float:
+    """`didi_value` of the float array z over groups from `didi_groups`."""
+    overall = np.add.reduce(z, axis=None) / z.size  # the bits of .mean()
+    total = 0.0
+    for rows, size in groups:
+        total += abs(overall - np.add.reduce(z[rows], axis=None) / size)
     return float(total)
 
 

@@ -17,17 +17,19 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
-from .constraints import DEFAULT_MEMBER_TOL, ConstraintSet, didi_value, is_member
+from .constraints import (DEFAULT_MEMBER_TOL, ConstraintSet, didi_given, didi_groups,
+                          didi_value, is_member)
 from .data import Dataset
 from .errors import DataError
 from .learners import LearnerSpec, fit, predict
 from .losses import LossSpec, loss_norm
-from .metrics import r_squared
+from .metrics import r_squared, r_squared_given, total_sum_of_squares
+# r_squared and didi_value stay bound here for the wrappers of perfbench/tracer.py;
+# a run's gauges take their parts through _Metrics
 from .solver import (DEFAULT_OPTIONS, ProjectionProblem, SolverOptions,
                      SolverReport, project, project_ball_intersection,
                      project_blend)
@@ -55,6 +57,11 @@ def check_run(alphas, beta: float, iterations: int, algorithms) -> None:
     if not algorithms or not set(algorithms) <= set(ALGORITHMS):
         raise ValueError(f"algorithms: expected a nonempty list from {ALGORITHMS}, "
                          f"got {list(algorithms)}")
+    # one task set and one history file per alpha and algorithm: no repeats
+    for name, values in (("alphas", alphas), ("algorithms", algorithms)):
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise ValueError(f"{name}[{i}]: {v!r} repeats {name}[{values.index(v)}]")
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,8 @@ def alpha_convert(alpha_a: float) -> float:
     The input is interpreted at its printed decimal precision so that table
     values convert exactly (0.1 -> 9, 0.5 -> 1, 0.9 -> 1/9).
     """
+    from fractions import Fraction  # here, not at the top: only moving targets needs it
+
     if not 0 < alpha_a <= 1:
         raise ValueError(f"alpha_a must be in (0, 1], got {alpha_a}")
     return float(1 / Fraction(str(alpha_a)) - 1)
@@ -238,14 +247,21 @@ class IterationHistory:
 
 def encode_fields(obj, exclude=()) -> dict:
     """A dataclass as a JSON-ready dict: its fields in declaration order, arrays
-    as lists, NaN as None, tuples as lists and nested dataclasses as dicts."""
-    return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)
-            if f.name not in exclude}
+    as lists, NaN as None, tuples as lists and nested dataclasses as dicts.
+    `exclude` is a tuple of field names."""
+    return {name: _encode(getattr(obj, name)) for name in _encoding_plan(type(obj), exclude)}
+
+
+@functools.cache
+def _encoding_plan(cls, exclude: tuple) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.name not in exclude)
 
 
 def _encode(value):
     if isinstance(value, float):
         return None if value != value else value
+    if isinstance(value, (int, str)):  # bool is an int
+        return value
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -297,27 +313,44 @@ def _checked(value, kind):
     return value
 
 
-def _safe_r2(y_true, y_pred) -> float:
+def _safe_ss_tot(y) -> float:
+    """The total sum of squares of the target y, or NaN where `r_squared`
+    raises (a one-point or constant target), so every R^2 against y reads
+    NaN."""
     try:
-        return r_squared(y_true, y_pred)
+        return total_sum_of_squares(y)
     except ValueError:
         return float("nan")
 
 
 class _Metrics:
+    """The gauges of one run, as `r_squared` and `didi_value` compute them.
+    What the targets and groups alone fix is computed once: each target's
+    total sum of squares, the checked groups and the training target's DIDI.
+    `of` computes the rest for each pair of predictions."""
+
     def __init__(self, train: Dataset, test: Dataset):
-        self.train = train
-        self.test = test
-        self.train_didi = didi_value(train.y, train.protected) if train.protected else 0.0
-        self.test_ok = bool(test.protected) and self.train_didi > 0
+        self.y_train, self.y_test = train.y, test.y
+        self.ss_train, self.ss_test = _safe_ss_tot(train.y), _safe_ss_tot(test.y)
+        self.train_groups = didi_groups(train.protected, train.n)
+        self.train_didi = didi_given(train.y, self.train_groups)
+        self.test_groups = didi_groups(test.protected, test.n) \
+            if test.protected and self.train_didi > 0 else None
 
     def ratios(self, yhat_train, yhat_test) -> tuple[float, float]:
         if not self.train_didi > 0:
             return float("nan"), float("nan")
-        c_train = didi_value(yhat_train, self.train.protected) / self.train_didi
-        c_test = (didi_value(yhat_test, self.test.protected) / self.train_didi
-                  if self.test_ok else float("nan"))
+        c_train = didi_given(yhat_train, self.train_groups) / self.train_didi
+        c_test = (didi_given(yhat_test, self.test_groups) / self.train_didi
+                  if self.test_groups is not None else float("nan"))
         return c_train, c_test
+
+    def of(self, yhat_train, yhat_test) -> dict[str, float]:
+        """A record's R^2 and DIDI-ratio fields for these predictions."""
+        c_train, c_test = self.ratios(yhat_train, yhat_test)
+        return {"r2_train": r_squared_given(self.y_train, self.ss_train, yhat_train),
+                "r2_test": r_squared_given(self.y_test, self.ss_test, yhat_test),
+                "c_train": c_train, "c_test": c_test}
 
 
 def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
@@ -330,24 +363,21 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
     blended = config.algorithm == "affine_extension"
     weight = None if blended else 1.0 / alpha_convert(config.alpha)
     loss = config.loss
-    gauges = _Metrics(train, test)
 
     # each prediction is held once: a step's `yhat` is the previous step's
     # `yhat_next` (the initial `yhat` for step 1), and its `z` is the solver's
     # solution, a fresh array; nothing writes into them
     reuse = {}  # what the refits of train.x share, such as the ridge factor
     model = fit(config.learner, train.x, train.y, loss, reuse)
+    gauges = _Metrics(train, test)  # after the first fit, which ends a run's set-up
     yhat = model.train_prediction
     yhat_test = predict(model, test.x)
-    c_train, c_test = gauges.ratios(yhat, yhat_test)
     history = IterationHistory(
         algorithm=config.algorithm, alpha=config.alpha, beta=config.beta,
         iterations=config.iterations, loss=loss, learner=config.learner,
         seed=config.seed, norm="l1" if loss.kind == "mae" else "l2",
         verdict=run_verdict(config.learner, loss, config.alpha),
-        initial=InitialRecord(
-            r2_train=_safe_r2(train.y, yhat), r2_test=_safe_r2(test.y, yhat_test),
-            c_train=c_train, c_test=c_test, yhat=yhat),
+        initial=InitialRecord(**gauges.of(yhat, yhat_test), yhat=yhat),
     )
 
     warm_master = None
@@ -389,11 +419,9 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
         yhat_test = predict(model, test.x)
         residual = loss_norm(loss, yhat_next - yhat)
         contraction = residual / prev_residual if prev_residual else float("nan")
-        c_train, c_test = gauges.ratios(yhat_next, yhat_test)
         history.records.append(IterationRecord(
             i=i, branch=branch, z=z, yhat=yhat, yhat_next=yhat_next,
-            r2_train=_safe_r2(train.y, yhat_next), r2_test=_safe_r2(test.y, yhat_test),
-            c_train=c_train, c_test=c_test, residual=residual, contraction=contraction,
+            **gauges.of(yhat_next, yhat_test), residual=residual, contraction=contraction,
             solver_method=report.method, solver_iterations=report.iterations,
             solver_converged=report.converged, solver_primal=report.primal_residual,
             solver_dual=report.dual_residual, fallback=fallback))

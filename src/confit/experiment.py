@@ -23,7 +23,6 @@ their float64 bytes, so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import json
 import logging
@@ -151,6 +150,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     written = dict.fromkeys(keys)  # in first-task order, as the summary and meta list them
     with contextlib.ExitStack() as stack:
         if jobs > 1:
+            import concurrent.futures  # here, not at the top: read processes never need it
+
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
             results = pool.map(_run_task, tasks)
         else:

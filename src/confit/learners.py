@@ -68,20 +68,24 @@ def fit(spec: LearnerSpec, x: np.ndarray, target: np.ndarray, loss: LossSpec,
 
     `reuse` is a dict that a caller refitting one training matrix keeps for
     it (the matrix must not change meanwhile): a fit stores there what later
-    fits of the same matrix reuse. For ridge that is [1, x] and the Cholesky
-    factor of its penalized Gram matrix, per `ridge_lambda`. For gbt it is
-    the bins of x (`_bin_features`), once, and per `min_samples_leaf` the
-    candidate splits of every tree level seen so far (`_KeptLevels`). Fits
-    give the same bits with or without it.
+    fits of the same matrix reuse. The first fit records there that x is
+    finite, so later fits skip that scan. For ridge it keeps [1, x] and the
+    Cholesky factor of its penalized Gram matrix, per `ridge_lambda`. For gbt
+    it keeps the bins of x (`_bin_features`), once, and per
+    `min_samples_leaf` the candidate splits of every tree level seen so far
+    (`_KeptLevels`). Fits give the same bits with or without it.
     """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     if x.ndim != 2 or target.ndim != 1 or x.shape[0] != target.shape[0]:
         raise ValueError(f"incompatible shapes: x {x.shape}, target {target.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("feature matrix contains non-finite entries")
+    reuse = {} if reuse is None else reuse
+    if "finite" not in reuse:
+        if not np.isfinite(x).all():
+            raise ValueError("feature matrix contains non-finite entries")
+        reuse["finite"] = True
     fit_kind = _fit_ridge if spec.kind == "ridge" else _fit_gbt
-    model = fit_kind(spec, x, target, loss, {} if reuse is None else reuse)
+    model = fit_kind(spec, x, target, loss, reuse)
     model.training_loss = loss_value(loss, model.train_prediction, target)
     return model
 

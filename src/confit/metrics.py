@@ -11,17 +11,31 @@ SERIES_NAMES = ("r2_train", "r2_test", "c_train", "c_test")
 
 
 def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """1 - SS_res/SS_tot with SS_tot about the mean of y_true."""
+    """1 - SS_res/SS_tot with SS_tot about the mean of y_true: the
+    composition of `total_sum_of_squares`, which depends on y_true alone, and
+    `r_squared_given`."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.shape != y_pred.shape:
         raise ValueError(f"dimension mismatch: {y_true.shape} vs {y_pred.shape}")
+    return r_squared_given(y_true, total_sum_of_squares(y_true), y_pred)
+
+
+def total_sum_of_squares(y_true: np.ndarray) -> float:
+    """SS_tot, the sum of squares of y_true about its mean; a ValueError where
+    R^2 is undefined (fewer than two points, or a constant target)."""
+    y_true = np.asarray(y_true, dtype=float)
     if y_true.size < 2:
         raise ValueError("r_squared needs at least two points")
     mean = np.add.reduce(y_true, axis=None) / y_true.size  # .mean() without its wrapper
     ss_tot = float(np.add.reduce((y_true - mean) ** 2, axis=None))
     if ss_tot == 0.0:
         raise ValueError("R^2 undefined for a constant target")
+    return ss_tot
+
+
+def r_squared_given(y_true: np.ndarray, ss_tot: float, y_pred: np.ndarray) -> float:
+    """R^2 of y_pred against the float array y_true, whose SS_tot is given."""
     ss_res = float(np.add.reduce((y_true - y_pred) ** 2, axis=None))
     return 1.0 - ss_res / ss_tot
 

@@ -111,6 +111,17 @@ PRIMAL_WEIGHT_SMOOTHING = 0.5
 STEP_FRACTION = 0.95  # eta = STEP_FRACTION / ||K||, K the rows plus the ball block
 
 
+def _solve(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(g, r), with a LinAlgError also where g is numerically
+    singular: where the solution is not finite, or where its residual
+    |g sol - r| exceeds |r|, the residual of the zero vector, far above what
+    rounding leaves on a solvable system."""
+    sol = np.linalg.solve(g, r)
+    if not (np.isfinite(sol).all() and np.linalg.norm(g @ sol - r) <= np.linalg.norm(r)):
+        raise np.linalg.LinAlgError("numerically singular matrix")
+    return sol
+
+
 def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
           ball=None, anchor_start=None, objective=None):
     """Restarted primal-dual iteration: primal prox on z (identity on aux),
@@ -127,10 +138,10 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     log-ratio of the dual to the primal movement since the last restart.
 
     A solve that resumes a warm `state` also computes the residual of its
-    first step, and returns that step when both parts are within `tol`. The
-    check touches no restart bookkeeping, so a solve that goes on runs
-    exactly as it would without it. Cold starts skip it: they never start at
-    their answer.
+    first step, and returns that step when both parts are within `tol`,
+    before any restart bookkeeping. The check changes none of it, so a solve
+    that goes on runs exactly as it would without it. Cold starts skip it:
+    they never start at their answer.
 
     `objective`, when given, describes the loss for the polish: ("mae",
     ((anchor, weight), ...)) for sum_j weight_j * |z - anchor_j|, which is
@@ -143,7 +154,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     a, b, y_floor, lower, upper = geom.a, geom.b, geom.y_floor, geom.lower, geom.upper
     at = a.T
     norm2 = geom.op_norm ** 2 + (1.0 if ball is not None else 0.0)
-    eta = STEP_FRACTION / np.sqrt(max(norm2, 1e-12))
+    eta = STEP_FRACTION / math.sqrt(max(norm2, 1e-12))
     omega = 1.0
     resumed = state is not None and state.get("kind") == "pdhg" and state["x"].size == width \
         and state["y"].size == m and (ball is None) == (state["yb"] is None)
@@ -225,7 +236,8 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         when the ball is slack there; its multiplier is lambda = c (1 - s) /
         s. Then y = 2 (c + lambda) yh and yb = 2 lambda (z - center).
 
-        The other multipliers are 0."""
+        The other multipliers are 0. An active set whose system is singular,
+        exactly or numerically (`_solve`), names no point: None."""
         kind, data = objective
         fixed = (x == lower) | (x == upper)
         xp, yp, ybp = x.copy(), np.zeros(m), None
@@ -254,7 +266,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                     basis = np.vstack([basis, signs])
                     rhs = np.append(rhs, n * beta - float(np.abs(xp[hz] - center[hz]).sum())
                                     + float(signs[:zf.size] @ center[zf]))
-                sol = np.linalg.solve(basis @ basis.T, np.column_stack(
+                sol = _solve(basis @ basis.T, np.column_stack(
                     [basis @ xp[free] - rhs, -(basis @ slope[free])]))
                 xp[free] -= basis.T @ sol[:, 0]
                 yp[active] = sol[:active.size, 1]
@@ -268,8 +280,8 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                 a_z, a_u = a[np.ix_(active, zf)], a[np.ix_(active, uf)]
                 p = q[zf, None] if ball is None else np.column_stack([q[zf], center[zf]])
                 kkt = np.block([[-(a_z @ a_z.T), a_u], [a_u.T, np.zeros((uf.size, uf.size))]])
-                sol = np.linalg.solve(kkt, np.vstack([rhs[:, None] - a_z @ p,
-                                                      np.zeros((uf.size, p.shape[1]))]))
+                sol = _solve(kkt, np.vstack([rhs[:, None] - a_z @ p,
+                                             np.zeros((uf.size, p.shape[1]))]))
                 yh, u = sol[:active.size], sol[active.size:]
                 z = p - a_z.T @ yh
                 s = 1.0
@@ -293,7 +305,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                 xp[uf] = u
                 yp[active] = 2.0 * (c / s) * yh
         except np.linalg.LinAlgError:
-            return None  # a singular active set
+            return None  # a singular active set, exactly or numerically
         stepped = step(xp, yp, ybp)
         pri, dua = residual(xp, yp, ybp, *stepped)
         return (stepped, pri, dua) if pri <= tol and dua <= tol else None
@@ -309,19 +321,18 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     for it in range(1, max_iter + 1):
         x_old, y_old, yb_old = x, y, yb
         x, y, yb = step(x, y, yb)
+        checked = it % 10 == 0 or it == max_iter
+        if checked or it == 1 and resumed:  # a resumed solve's first step, for the exit only
+            pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
+            if pri <= tol and dua <= tol:
+                break
         since += 1
         x_sum += x
         y_sum += y
         if ball is not None:
             yb_sum += yb
-        checked = it % 10 == 0 or it == max_iter
-        if not (checked or it == 1 and resumed):
-            continue
-        pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
-        if pri <= tol and dua <= tol:
-            break
         if not checked:
-            continue  # a resumed solve's first step is checked for the exit only
+            continue
         polished = None if objective is None else polish(x, y, yb)
         if polished is not None:
             (x, y, yb), pri, dua = polished

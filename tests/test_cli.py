@@ -77,6 +77,22 @@ def test_invalid_config_exit_2_with_field_message(tmp_path, csv_50, capsys):
     assert "run.alphas[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,field", [
+    ({"alphas": "[0.5, 0.5]"}, "run.alphas[1]"),
+    ({"alphas": "[0.1, 0.5, 0.1]"}, "run.alphas[2]"),
+    ({"algorithms": "[moving_targets, affine_extension, moving_targets]"},
+     "run.algorithms[2]"),
+], ids=["alphas", "alphas-apart", "algorithms"])
+def test_repeated_alpha_or_algorithm_exit_2(tmp_path, csv_50, capsys, edit, field):
+    # a repeat would mix two tasks' folds into one history and count them
+    # twice in the summary's mean and std
+    cfg = write_config(tmp_path, csv_50, **edit)
+    assert main(["validate-config", "--config", str(cfg)]) == 2
+    assert f"{field}: " in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def _case(field, unknown=None, **blocks):
     return pytest.param(blocks, field, unknown, id=field + (f"+{unknown}" if unknown else ""))
 
@@ -838,14 +854,17 @@ def test_every_fit_of_a_run_goes_through_the_driver_binding(tmp_path, csv_50, mo
 
 
 def test_cli_import_leaves_yaml_unloaded():
-    # plotdata and compare never parse YAML, so only load_config imports it
+    # plotdata and compare never parse YAML, so only load_config imports it;
+    # likewise fractions (alpha_convert) and concurrent.futures (a run at
+    # jobs > 1), which a read process never needs
     src = Path(confit.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, confit.cli; print('yaml' in sys.modules)"],
+    modules = ("yaml", "fractions", "concurrent.futures")
+    proc = subprocess.run([sys.executable, "-c", "import sys, confit.cli\n"
+                           f"print([m for m in {modules!r} if m in sys.modules])"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_leaves_numpy_ma_unloaded(tmp_path, csv_50):

@@ -367,3 +367,28 @@ def test_settled_feasible_steps_end_after_one_pdhg_step():
     assert all(r.solver_method == "pdhg-ball" and r.solver_converged and not r.fallback
                and r.solver_iterations == 1 for r in settled)
     assert all(is_member(cs, r.z, 1e-6) for r in history.records)
+
+
+def test_gauges_are_built_after_the_first_fit(monkeypatch):
+    # a run's set-up ends at its first fit; the gauges' once-per-run parts
+    # come after it, once
+    events = []
+    real_fit, real_metrics = driver.fit, driver._Metrics
+
+    def fit(*args, **kwargs):
+        events.append("fit")
+        return real_fit(*args, **kwargs)
+
+    class Metrics(real_metrics):
+        def __init__(self, *args):
+            events.append("gauges")
+            super().__init__(*args)
+
+    monkeypatch.setattr(driver, "fit", fit)
+    monkeypatch.setattr(driver, "_Metrics", Metrics)
+    rng = np.random.default_rng(3)
+    ds = make_dataset(rng)
+    config = RunConfig(alpha=0.5, constraints=tight_polytope(rng, ds.n), iterations=4,
+                       learner=RIDGE0)
+    run(config, ds, ds)
+    assert events == ["fit", "gauges", "fit", "fit", "fit"]

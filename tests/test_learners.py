@@ -26,6 +26,31 @@ def linear_data(rng, n=30, d=4, noise=0.0):
     return x, y, w
 
 
+@pytest.mark.parametrize("spec", [RIDGE0, LearnerSpec("gbt", n_trees=3)], ids=["ridge", "gbt"])
+def test_refits_sharing_reuse_scan_their_matrix_once(spec, monkeypatch):
+    # the first fit of a `reuse` dict checks that x is finite, and records it
+    # only when it is: a matrix with NaN raises on every fit
+    rng = np.random.default_rng(4)
+    x, y, _ = linear_data(rng, n=20, d=3)
+    bad = x.copy()
+    bad[5, 1] = np.nan
+    reuse = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(spec, bad, y, MSE, reuse)
+    scans = []
+    real = np.isfinite
+    monkeypatch.setattr(learners.np, "isfinite",
+                        lambda a, *args, **kwargs: scans.append(a is x) or real(a, *args, **kwargs))
+    reuse = {}
+    fit(spec, x, y, MSE, reuse)
+    refit = fit(spec, x, 1.0 - y, MSE, reuse)
+    assert scans.count(True) == 1
+    fresh = fit(spec, x, 1.0 - y, MSE)
+    assert scans.count(True) == 2
+    assert np.array_equal(refit.train_prediction, fresh.train_prediction)
+
+
 def test_ridge_recovers_exact_linear_data():
     rng = np.random.default_rng(0)
     x, y, w = linear_data(rng)

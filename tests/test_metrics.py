@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confit.data import Dataset, ProtectedSpec
 from confit.constraints import didi_value
@@ -45,6 +47,59 @@ def test_didi_ratio_basics():
     assert gauges.ratios(np.full(4, 0.4), y_train) == (0.0, pytest.approx(1.0))
     flat = replace(ds, y=np.full(4, 0.5))  # a zero training index: the ratio is undefined
     assert all(np.isnan(_Metrics(flat, flat).ratios(y_train, y_train)))
+
+
+def _dataset(y, labels):
+    """A one-feature dataset whose protected feature groups the rows by label."""
+    protected = (ProtectedSpec(0, {int(v): np.flatnonzero(labels == v)
+                                   for v in np.unique(labels)}),) if labels is not None else ()
+    return Dataset(np.zeros((y.size, 1)), y, ["g"], [(0.0, 1.0)], "t", (0.0, 1.0), protected)
+
+
+def _r2_or_nan(y, p):
+    try:
+        return r_squared(y, p)
+    except ValueError:
+        return math.nan
+
+
+def _same(a, b):
+    return math.isnan(a) and math.isnan(b) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_held_gauges_give_the_bits_of_r_squared_and_didi_value(data):
+    # a run computes each target's SS_tot, the groups and the training DIDI
+    # once; each record must still hold the bits of the full functions, NaN
+    # where R^2 or the ratio is undefined (one row, a constant target, a
+    # zero training index, no protected feature)
+    def vector(n, low, high):
+        values = st.floats(low, high, allow_nan=False, allow_subnormal=False)
+        if data.draw(st.booleans(), "constant"):
+            return np.full(n, data.draw(values))
+        return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+    def labels(n):
+        # groups of one row are common at these sizes
+        return np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+
+    n_train, n_test = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    grouped = data.draw(st.booleans(), "grouped")
+    train = _dataset(vector(n_train, 0, 1), labels(n_train) if grouped else None)
+    test = _dataset(vector(n_test, 0, 1), labels(n_test) if grouped else None)
+    gauges = _Metrics(train, test)
+    train_didi = didi_value(train.y, train.protected)
+    for _ in range(3):
+        p_train, p_test = vector(n_train, -1, 2), vector(n_test, -1, 2)
+        want = {"r2_train": _r2_or_nan(train.y, p_train), "r2_test": _r2_or_nan(test.y, p_test),
+                "c_train": math.nan, "c_test": math.nan}
+        if train_didi > 0:
+            want["c_train"] = didi_value(p_train, train.protected) / train_didi
+            want["c_test"] = didi_value(p_test, test.protected) / train_didi
+        got = gauges.of(p_train, p_test)
+        assert list(got) == list(want)
+        assert all(_same(got[k], want[k]) for k in want), (got, want)
 
 
 def test_didi_ratio_scale_invariance():

@@ -684,8 +684,36 @@ def test_polished_mae_ball_solves_match_the_unpolished_oracle(seed, n, m, equali
                                                               radius):
     # as for mse: beta is `radius` times the loss from the ball's center to
     # the plain projection, so the ball is tight or slack at the answer. In
-    # the explicit example a nearly singular Gram matrix puts the polished
-    # point near 1e17, and the step from it must still project onto the ball
+    # the explicit example a nearly singular Gram matrix would put the
+    # polished point near 1e17 (test_numerically_singular_polish_is_dropped)
+    solve, cs, beta, anchor, drifted = _mae_ball_case(seed, n, m, equalities, didi, radius)
+    center = cs.feasible_point
+    for rep in _check_polished_solves(solve, lambda z, target: loss_value(MAE, z, target), cs,
+                                      "pdhg-ball", anchor, drifted):
+        assert loss_value(MAE, rep.solution, center) <= beta + 1e-8
+
+
+def test_numerically_singular_polish_is_dropped(monkeypatch):
+    # in the explicit example above, a Gram solve of the polish returns a
+    # finite point near 1e17 that misses its right-hand side; the polish
+    # drops it as singular, so no step is taken from it
+    seen = []
+
+    def spy(spec, v, *args):
+        seen.append(float(np.abs(v).max()))
+        return project_ball(spec, v, *args)
+
+    monkeypatch.setattr(solver, "project_ball", spy)
+    solve, cs, beta, anchor, drifted = _mae_ball_case(665058576, 6, 2, 1, True, 2.0)
+    cold = solve(anchor, None)
+    warm = solve(drifted, cold.state)
+    assert cold.converged and warm.converged
+    assert seen and max(seen) < 1e3
+
+
+def _mae_ball_case(seed, n, m, equalities, didi, radius):
+    """A generated mae-ball problem, its `pdhg-ball` solve and its beta,
+    anchor and drifted anchor."""
     rng = np.random.default_rng(seed)
     cs = random_polytope(rng, n, m, equalities=equalities)
     if didi:
@@ -696,10 +724,7 @@ def test_polished_mae_ball_solves_match_the_unpolished_oracle(seed, n, m, equali
     center = cs.feasible_point
     beta = radius * loss_value(MAE, project(ProjectionProblem(MAE, anchor, cs), TIGHT).solution,
                                center)
-    solve = _route_solve(MAE, "pdhg-ball", cs, None, None, beta)
-    for rep in _check_polished_solves(solve, lambda z, target: loss_value(MAE, z, target), cs,
-                                      "pdhg-ball", anchor, drifted):
-        assert loss_value(MAE, rep.solution, center) <= beta + 1e-8
+    return _route_solve(MAE, "pdhg-ball", cs, None, None, beta), cs, beta, anchor, drifted
 
 
 PDHG_ROUTES = [("pdhg", MAE), ("pdhg", HUBER), ("pdhg-ball", MAE), ("pdhg-ball", HUBER),
