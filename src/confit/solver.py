@@ -312,9 +312,7 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
 
     tau, sig = eta / omega, eta * omega
     x0, y0, yb0 = x, y, yb  # the last restart point
-    x_sum, y_sum = np.zeros(width), np.zeros(m)
-    yb_sum = np.zeros(n) if ball is not None else None
-    since = 0  # iterations since the last restart
+    since = 0  # iterations since the last restart, whose iterates the sums add up
     r_restart = r_last = np.inf
     it = 0
     pri = dua = np.inf
@@ -326,6 +324,9 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
             pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
             if pri <= tol and dua <= tol:
                 break
+        if since == 0:  # allocated here, so a resumed solve that ends at step 1 makes none
+            x_sum, y_sum = np.zeros(width), np.zeros(m)
+            yb_sum = np.zeros(n) if ball is not None else None
         since += 1
         x_sum += x
         y_sum += y
@@ -364,8 +365,6 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
                              + (1.0 - PRIMAL_WEIGHT_SMOOTHING) * math.log(omega))
             tau, sig = eta / omega, eta * omega
         x0, y0, yb0 = x, y, yb
-        x_sum, y_sum = np.zeros(width), np.zeros(m)
-        yb_sum = np.zeros(n) if ball is not None else None
         since = 0
         r_restart, r_last = r_cand, np.inf
     return x, pri, dua, it, {"kind": "pdhg", "x": x, "y": y, "yb": yb, "omega": omega}

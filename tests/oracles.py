@@ -907,3 +907,58 @@ def bin_features_by_unique(x):
         values[f, :u.size] = u
         codes[:, f] = np.searchsorted(u, x[:, f]) + f * width
     return codes, values
+
+
+def every_step_run(config, train, test, pkg):
+    """The fit-adjust loop with every step computed: membership, the solve
+    (warm-started from the last solve of the same branch), the refit, the
+    test prediction and the gauges, whatever the step's input. `pkg` is
+    `confit.driver`, whose bindings supply those routines. Returns the
+    initial record and the step records."""
+    cs, loss = config.constraints, config.loss
+    weight = None if config.algorithm == "affine_extension" \
+        else 1.0 / pkg.alpha_convert(config.alpha)
+    reuse = {}
+    model = pkg.fit(config.learner, train.x, train.y, loss, reuse)
+    gauges = pkg._Metrics(train, test)
+    yhat = model.train_prediction
+    initial = pkg.InitialRecord(**gauges.of(yhat, pkg.predict(model, test.x)), yhat=yhat)
+    records, warm, prev_residual = [], {"infeasible": None, "feasible": None}, None
+    for i in range(1, config.iterations):
+        fallback = False
+        if not pkg.is_member(cs, yhat, pkg.DEFAULT_MEMBER_TOL):
+            branch = "infeasible"
+            if weight is None:
+                anchor = (1.0 - config.alpha) * train.y + config.alpha * yhat
+                report = pkg.project(pkg.ProjectionProblem(loss, anchor, cs), config.solver,
+                                     warm[branch])
+            else:
+                report = pkg.project_blend(loss, train.y, yhat, weight, cs, config.solver,
+                                           warm[branch])
+            warm[branch] = report.state
+        else:
+            branch = "feasible"
+            report = pkg.project_ball_intersection(loss, train.y, yhat, config.beta, cs,
+                                                   config.solver, warm[branch])
+            warm[branch] = report.state
+            if not report.converged or not pkg.is_member(cs, report.solution,
+                                                         10 * pkg.DEFAULT_MEMBER_TOL):
+                report = pkg.SolverReport(yhat.copy(), report.primal_residual,
+                                          report.dual_residual, report.iterations, False,
+                                          report.method)
+                fallback = True
+        model = pkg.fit(config.learner, train.x, report.solution, loss, reuse)
+        yhat_next = model.train_prediction
+        residual = pkg.loss_norm(loss, yhat_next - yhat)
+        records.append(pkg.IterationRecord(
+            i=i, branch=branch, z=report.solution, yhat=yhat, yhat_next=yhat_next,
+            **gauges.of(yhat_next, pkg.predict(model, test.x)), residual=residual,
+            contraction=residual / prev_residual if prev_residual else float("nan"),
+            solver_method=report.method, solver_iterations=report.iterations,
+            solver_converged=report.converged, solver_primal=report.primal_residual,
+            solver_dual=report.dual_residual, fallback=fallback))
+        yhat = yhat_next
+        prev_residual = residual if residual > 0 else prev_residual
+        if config.early_stop and residual < config.stop_tol:
+            break
+    return initial, records

@@ -840,7 +840,9 @@ def test_each_history_file_is_written_before_the_next_group_runs(tmp_path, csv_5
 def test_every_fit_of_a_run_goes_through_the_driver_binding(tmp_path, csv_50, monkeypatch,
                                                             learner):
     # the benchmark's first-fit hook and tracer wrap `confit.driver.fit`: every
-    # fit of a run, one per task and iteration, is a call of that binding
+    # fit of a run, one per task and computed step, is a call of that binding.
+    # A step that repeats an exact fixed point fits nothing; the histories
+    # show which: those after a converged step whose yhat_next is its yhat
     cfg = load_config(write_config(tmp_path, csv_50, alphas="[0.1, 0.5]", folds=3,
                                    iterations=4, learner=learner,
                                    algorithms="[affine_extension, moving_targets]"))
@@ -850,7 +852,16 @@ def test_every_fit_of_a_run_goes_through_the_driver_binding(tmp_path, csv_50, mo
         monkeypatch.setattr(learners, name,
                             lambda *a, _fit=getattr(learners, name): fitted.append(1) or _fit(*a))
     run_experiment(cfg, jobs=1, out_dir=str(tmp_path / "out"))
-    assert len(bound) == len(fitted) == 2 * 2 * 3 * 4
+    histories = [h for path in sorted((tmp_path / "out").glob("*.jsonl"))
+                 for h in load_history_file(path)[1]]
+
+    def repeated_by_next(r):
+        return r.solver_converged and not r.fallback and r.yhat_next.tobytes() == r.yhat.tobytes()
+
+    computed = sum(len(h.records) - sum(map(repeated_by_next, h.records[:-1]))
+                   for h in histories)
+    assert len(histories) == 2 * 2 * 3
+    assert len(bound) == len(fitted) == len(histories) + computed
 
 
 def test_cli_import_leaves_yaml_unloaded():

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from confit.learners import LearnerSpec
 from confit.losses import LossSpec, MSE, MAE
 from confit.solver import ProjectionProblem, SolverOptions, project
 from test_acceptance import make_instance
+
+import oracles
 
 RIDGE0 = LearnerSpec("ridge", ridge_lambda=0.0)
 TIGHT = SolverOptions(tolerance=1e-10, max_iterations=200000)
@@ -32,6 +35,21 @@ def tight_polytope(rng, n, m=8):
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b = a @ np.full(n, 0.5) + rng.uniform(0.01, 0.08, m)
     return from_inequalities(a, b, n, lower=np.zeros(n), upper=np.ones(n))
+
+
+def grouped_instance(seed, n=40):
+    """Data whose protected group is a feature, with its DIDI and [0, 1] box
+    constraints: a ridge refit keeps the group means of its target, so the
+    loop settles on the feasible branch."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, 3))
+    x[:, 0] = (x[:, 0] > 0.5).astype(float)
+    y = np.clip(x @ np.array([0.5, 0.2, -0.1]) + 0.1 + 0.05 * rng.standard_normal(n), 0, 1)
+    protected = (ProtectedSpec(0, {0: np.flatnonzero(x[:, 0] == 0),
+                                   1: np.flatnonzero(x[:, 0] == 1)}),)
+    ds = Dataset(x, y, ["g", "b", "c"], [(0.0, 1.0)] * 3, "t", (0.0, 1.0), protected)
+    return ds, intersect(build_didi_constraints(protected, didi_epsilon(y, protected, 0.2), n),
+                         build_box(0.0, 1.0, n))
 
 
 def test_alpha_convert_table_values_exact():
@@ -341,21 +359,11 @@ def test_default_solver_converges_on_every_mae_blend_solve(caplog):
 
 
 def test_settled_feasible_steps_end_after_one_pdhg_step():
-    # the protected group is a feature, so a ridge refit keeps the group means
-    # of its target and the loop stays on the feasible branch. The first ball
+    # the loop stays on the feasible branch (`grouped_instance`). The first ball
     # solve ends at its first 10-iteration check, polished onto its optimum;
     # once settled, each one resumes at its answer and stops after its first
-    # step
-    rng = np.random.default_rng(0)
-    n = 40
-    x = rng.uniform(0, 1, (n, 3))
-    x[:, 0] = (x[:, 0] > 0.5).astype(float)
-    y = np.clip(x @ np.array([0.5, 0.2, -0.1]) + 0.1 + 0.05 * rng.standard_normal(n), 0, 1)
-    protected = (ProtectedSpec(0, {0: np.flatnonzero(x[:, 0] == 0),
-                                   1: np.flatnonzero(x[:, 0] == 1)}),)
-    ds = Dataset(x, y, ["g", "b", "c"], [(0.0, 1.0)] * 3, "t", (0.0, 1.0), protected)
-    cs = intersect(build_didi_constraints(protected, didi_epsilon(y, protected, 0.2), n),
-                   build_box(0.0, 1.0, n))
+    # step, and the steps after the run's exact fixed point repeat such a step
+    ds, cs = grouped_instance(0)
     config = RunConfig(alpha=0.5, constraints=cs, beta=0.05, iterations=30, loss=MSE,
                        learner=RIDGE0)
     history = run(config, ds, ds)
@@ -392,3 +400,188 @@ def test_gauges_are_built_after_the_first_fit(monkeypatch):
                        learner=RIDGE0)
     run(config, ds, ds)
     assert events == ["fit", "gauges", "fit", "fit", "fit"]
+
+
+def _bits(record):
+    """A record's fields, arrays as their bytes and floats as their bits."""
+    return {f.name: v.tobytes() if isinstance(v, np.ndarray)
+            else np.float64(v).tobytes() if isinstance(v, float) else v
+            for f, v in ((f, getattr(record, f.name)) for f in dataclasses.fields(record))}
+
+
+def _first_repeat(records):
+    """The index of the first record whose step has the input of the step
+    before it, that step's solve converged without fallback; None if none."""
+    return next((k for k, r in enumerate(records[:-1], 1)
+                 if r.solver_converged and not r.fallback
+                 and r.yhat_next.tobytes() == r.yhat.tobytes()), None)
+
+
+def _box_instance(seed, lower, upper):
+    ds = make_dataset(np.random.default_rng(seed))
+    return ds, build_box(lower, upper, ds.n)
+
+
+COLD = SolverOptions(warm_start=False)
+
+# generated ridge runs that reach an exact fixed point: name -> (instance,
+# run settings). Every step of those below is a pure function of its input:
+# the Dykstra and already-feasible routes carry no solver state, and the
+# others run with warm starts off
+_PURE_FIXED_POINT_RUNS = {
+    "dykstra": (lambda: _box_instance(0, 0.3, 0.6), {}),
+    "dykstra-ball": (lambda: _box_instance(0, 0.0, 1.0), {}),
+    "already-feasible": (lambda: (lambda ds: (ds, _box_around_y(ds)))(make_dataset(
+        np.random.default_rng(0), n=10)), dict(alpha=0.1)),
+    "pdhg-blend, cold": (lambda: _box_instance(0, 0.3, 0.6),
+                         dict(algorithm="moving_targets", solver=COLD)),
+    "pdhg and pdhg-ball, cold": (lambda: grouped_instance(0), dict(solver=COLD)),
+    "mae, cold": (lambda: grouped_instance(6), dict(loss=MAE, solver=COLD)),
+}
+# the same with warm-started primal-dual solves
+_WARM_FIXED_POINT_RUNS = {
+    "pdhg and pdhg-ball": (lambda: grouped_instance(5), {}),
+    "pdhg-blend and pdhg-ball": (lambda: grouped_instance(7), dict(algorithm="moving_targets")),
+    "pdhg-blend": (lambda: _box_instance(0, 0.3, 0.6), dict(algorithm="moving_targets")),
+    "mae": (lambda: grouped_instance(3), dict(loss=MAE, algorithm="moving_targets")),
+}
+
+
+def _fixed_point_run(instance, settings):
+    """The config, data and every-step history of a run that reaches an
+    exact fixed point, and the index of its first repeating record."""
+    ds, cs = instance()
+    config = RunConfig(**{"alpha": 0.5, "constraints": cs, "beta": 0.05, "iterations": 30,
+                          "learner": RIDGE0, **settings})
+    initial, records = oracles.every_step_run(config, ds, ds, driver)
+    first = _first_repeat(records)
+    assert first is not None
+    return config, ds, initial, records, first
+
+
+@pytest.mark.parametrize("name", sorted(_PURE_FIXED_POINT_RUNS))
+def test_pure_steps_repeat_what_every_step_would_compute(name):
+    config, ds, initial, expected, first = _fixed_point_run(*_PURE_FIXED_POINT_RUNS[name])
+    history = run(config, ds, ds)
+    assert _bits(history.initial) == _bits(initial)
+    assert [_bits(r) for r in history.records] == [_bits(r) for r in expected]
+
+
+@pytest.mark.parametrize("name", sorted(_WARM_FIXED_POINT_RUNS))
+def test_warm_runs_repeat_their_exact_fixed_point(name):
+    # up to the first repeat the run is the every-step loop's; after it each
+    # record is its predecessor's with a new step number and a z of its own,
+    # where the every-step loop's warm-started solves move z by rounding
+    config, ds, initial, expected, first = _fixed_point_run(*_WARM_FIXED_POINT_RUNS[name])
+    history = run(config, ds, ds)
+    steps = history.records
+    assert _bits(history.initial) == _bits(initial)
+    assert [_bits(r) for r in steps[:first]] == [_bits(r) for r in expected[:first]]
+    assert len(steps) == len(expected)
+    for previous, r, computed in zip(steps[first - 1:], steps[first:], expected[first:]):
+        assert r.i == previous.i + 1
+        assert {**_bits(r), "i": None} == {**_bits(previous), "i": None}
+        assert np.max(np.abs(r.z - computed.z)) <= config.solver.tolerance
+
+
+def test_a_repeated_step_computes_nothing(monkeypatch):
+    # the calls of a run end at its exact fixed point: a run that goes on
+    # past it makes the same calls as one that stops there
+    config, ds, _, _, first = _fixed_point_run(*_WARM_FIXED_POINT_RUNS["pdhg and pdhg-ball"])
+    calls = []
+    for name in ("fit", "predict", "is_member", "project", "project_ball_intersection",
+                 "project_blend"):
+        def spy(*args, _name=name, _real=getattr(driver, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(driver, name, spy)
+
+    class Metrics(driver._Metrics):
+        def of(self, *args):
+            calls.append("gauges")
+            return super().of(*args)
+
+    monkeypatch.setattr(driver, "_Metrics", Metrics)
+    short = run(replace(config, iterations=first + 1), ds, ds)
+    made = list(calls)
+    calls.clear()
+    full = run(config, ds, ds)
+    assert len(short.records) == first and len(full.records) == config.iterations - 1
+    assert calls == made
+    assert {"fit", "predict", "is_member", "gauges"} <= set(made)
+
+
+def _learner_of(monkeypatch, predict_for):
+    """Makes the driver's learner one whose train prediction, on its k-th fit
+    of a run, is `predict_for(k)`, whatever its target; returns its fits."""
+    fits = []
+
+    def fit(spec, x, target, loss, reuse):
+        fits.append(target)
+        return SimpleNamespace(train_prediction=predict_for(len(fits)))
+
+    monkeypatch.setattr(driver, "fit", fit)
+    monkeypatch.setattr(driver, "predict", lambda model, x: model.train_prediction)
+    return fits
+
+
+@pytest.mark.parametrize("kind", ["fallback", "unconverged"])
+def test_fallback_and_unconverged_steps_are_never_repeated(monkeypatch, kind):
+    # a learner that ignores its target gives each step its predecessor's
+    # input; a step whose solve stopped unconverged, with or without a
+    # fallback, is computed again, its solve resuming where the last stopped.
+    # The fallback run's prediction is inside its box, the other's outside
+    # its polytope
+    settings = dict(_ROUTE_RUNS["fallback"])
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng, n=10)
+    box = settings.pop("constraints")(ds)
+    config = RunConfig(**{"alpha": 0.5, "beta": 0.05, "iterations": 6, "learner": RIDGE0,
+                          "constraints": box if kind == "fallback" else tight_polytope(rng, ds.n),
+                          **settings})
+    fits = _learner_of(monkeypatch, lambda k: ds.y + 0.2)
+    initial, expected = oracles.every_step_run(config, ds, ds, driver)
+    fits.clear()
+    history = run(config, ds, ds)
+    assert len(fits) == config.iterations
+    assert all(r.yhat_next.tobytes() == r.yhat.tobytes() for r in expected)
+    assert all(not r.solver_converged and r.fallback == (kind == "fallback")
+               for r in expected[:-1])
+    assert [_bits(r) for r in history.records] == [_bits(r) for r in expected]
+
+
+def test_a_zero_of_the_other_sign_is_a_new_input(monkeypatch):
+    # -0.0 == 0.0, so the residual between the two predictions is 0, but
+    # their bits differ: each step is computed
+    ds = make_dataset(np.random.default_rng(0), n=10)
+    config = RunConfig(alpha=0.5, constraints=build_box(-10.0, 10.0, ds.n), beta=0.05,
+                       iterations=6, learner=RIDGE0)
+
+    def prediction(k):
+        p = ds.y.copy()
+        p[0] = -0.0 if k % 2 else 0.0
+        return p
+
+    fits = _learner_of(monkeypatch, prediction)
+    initial, expected = oracles.every_step_run(config, ds, ds, driver)
+    fits.clear()
+    history = run(config, ds, ds)
+    assert len(fits) == config.iterations
+    assert all(r.residual == 0.0 and r.solver_converged for r in expected)
+    assert [_bits(r) for r in history.records] == [_bits(r) for r in expected]
+
+
+def test_the_exact_fixed_point_is_logged_once(caplog):
+    config, ds, _, _, first = _fixed_point_run(*_WARM_FIXED_POINT_RUNS["pdhg and pdhg-ball"])
+    with caplog.at_level(logging.INFO, logger="confit"):
+        run(config, ds, ds)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"affine_extension alpha=0.5: exact fixed point at step {first}; "
+        f"the {config.iterations - 1 - first} steps after it repeat it"]
+    caplog.clear()
+    rng = np.random.default_rng(0)
+    ds = make_dataset(rng)
+    with caplog.at_level(logging.INFO, logger="confit"):
+        history = run(replace(config, constraints=tight_polytope(rng, ds.n)), ds, ds)
+    assert _first_repeat(history.records) is None
+    assert not caplog.records
