@@ -404,9 +404,12 @@ def test_gauges_are_built_after_the_first_fit(monkeypatch):
 
 def _bits(record):
     """A record's fields, arrays as their bytes and floats as their bits."""
-    return {f.name: v.tobytes() if isinstance(v, np.ndarray)
+    out = {}
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        out[f.name] = v.tobytes() if isinstance(v, np.ndarray) \
             else np.float64(v).tobytes() if isinstance(v, float) else v
-            for f, v in ((f, getattr(record, f.name)) for f in dataclasses.fields(record))}
+    return out
 
 
 def _first_repeat(records):
@@ -422,6 +425,11 @@ def _box_instance(seed, lower, upper):
     return ds, build_box(lower, upper, ds.n)
 
 
+def _around_y_instance():
+    ds = make_dataset(np.random.default_rng(0), n=10)
+    return ds, _box_around_y(ds)
+
+
 COLD = SolverOptions(warm_start=False)
 
 # generated ridge runs that reach an exact fixed point: name -> (instance,
@@ -431,8 +439,7 @@ COLD = SolverOptions(warm_start=False)
 _PURE_FIXED_POINT_RUNS = {
     "dykstra": (lambda: _box_instance(0, 0.3, 0.6), {}),
     "dykstra-ball": (lambda: _box_instance(0, 0.0, 1.0), {}),
-    "already-feasible": (lambda: (lambda ds: (ds, _box_around_y(ds)))(make_dataset(
-        np.random.default_rng(0), n=10)), dict(alpha=0.1)),
+    "already-feasible": (_around_y_instance, dict(alpha=0.1)),
     "pdhg-blend, cold": (lambda: _box_instance(0, 0.3, 0.6),
                          dict(algorithm="moving_targets", solver=COLD)),
     "pdhg and pdhg-ball, cold": (lambda: grouped_instance(0), dict(solver=COLD)),
@@ -461,7 +468,7 @@ def _fixed_point_run(instance, settings):
 
 @pytest.mark.parametrize("name", sorted(_PURE_FIXED_POINT_RUNS))
 def test_pure_steps_repeat_what_every_step_would_compute(name):
-    config, ds, initial, expected, first = _fixed_point_run(*_PURE_FIXED_POINT_RUNS[name])
+    config, ds, initial, expected, _ = _fixed_point_run(*_PURE_FIXED_POINT_RUNS[name])
     history = run(config, ds, ds)
     assert _bits(history.initial) == _bits(initial)
     assert [_bits(r) for r in history.records] == [_bits(r) for r in expected]
