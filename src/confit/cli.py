@@ -77,21 +77,20 @@ def cmd_validate(args) -> int:
 def cmd_compare(args) -> int:
     meta_a, hist_a = load_history_file(args.history_a, vectors=False)
     meta_b, hist_b = load_history_file(args.history_b, vectors=False)
-    lines = compare_rows(meta_a, hist_a, meta_b, hist_b)
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    return 0
+    return _emit(compare_rows(meta_a, hist_a, meta_b, hist_b), args.out)
 
 
 def cmd_plotdata(args) -> int:
     _, histories = load_history_file(args.history, vectors=False)
-    lines = plotdata_rows(histories)
+    return _emit(plotdata_rows(histories), args.out)
+
+
+def _emit(lines: list[str], out: str | None) -> int:
+    """Print the CSV lines, and also write them to `out` when given."""
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     return 0
 
 

@@ -337,14 +337,10 @@ def build_didi_constraints(protected, epsilon: float, n: int) -> ConstraintSet:
     if epsilon < 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     deviation_rows = []
-    for spec in protected:
-        for value in spec.group_values():
-            rows = spec.groups[value]
-            if rows.size == 0:
-                raise ValueError("empty protected group")
-            c = np.full(n, 1.0 / n)
-            c[rows] -= 1.0 / rows.size
-            deviation_rows.append(c)
+    for rows, size in didi_groups(protected, n):
+        c = np.full(n, 1.0 / n)
+        c[rows] -= 1.0 / size
+        deviation_rows.append(c)
     n_aux = len(deviation_rows)
     width = n + n_aux
     a_rows, b_vals = [], []

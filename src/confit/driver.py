@@ -45,8 +45,7 @@ from .metrics import r_squared, r_squared_given, total_sum_of_squares
 # r_squared and didi_value stay bound here for the wrappers of perfbench/tracer.py;
 # a run's gauges take their parts through _Metrics
 from .solver import (DEFAULT_OPTIONS, ProjectionProblem, SolverOptions,
-                     SolverReport, project, project_ball_intersection,
-                     project_blend)
+                     project, project_ball_intersection, project_blend)
 
 ALGORITHMS = ("affine_extension", "moving_targets")
 
@@ -427,9 +426,7 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
                                                      10 * DEFAULT_MEMBER_TOL):
                 # numerically empty ball/set intersection: the center is the
                 # one point known feasible
-                report = SolverReport(yhat.copy(), report.primal_residual,
-                                      report.dual_residual, report.iterations,
-                                      False, report.method)
+                report = replace(report, solution=yhat.copy(), converged=False)
                 fallback = True
         if not report.converged and not fallback:
             log.warning("iteration %d: the %s solve stopped unconverged after %d iterations "

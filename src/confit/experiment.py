@@ -47,7 +47,6 @@ log = logging.getLogger("confit")
 
 @dataclass(frozen=True)
 class FoldData:
-    index: int
     train: Dataset
     test: Dataset
 
@@ -73,14 +72,14 @@ def prepare_folds(cfg: ExperimentConfig) -> list[FoldData]:
                                   for name in cfg.dataset.protected])
 
     out = []
-    for j, test_rows in enumerate(fold_indices(table.n, cfg.run.folds, cfg.run.seed)):
+    for test_rows in fold_indices(table.n, cfg.run.folds, cfg.run.seed):
         in_train = np.ones(table.n, dtype=bool)  # np.setdiff1d would import numpy.ma
         in_train[test_rows] = False
         rows = table.select_rows(np.flatnonzero(in_train))
         train = normalize(rows, target) if by_fold else apply_normalization(rows, target, full)
         test = apply_normalization(table.select_rows(test_rows), target,
                                    train if by_fold else full)
-        out.append(FoldData(j, attach_protected(train), attach_protected(test)))
+        out.append(FoldData(attach_protected(train), attach_protected(test)))
     return out
 
 
@@ -129,9 +128,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
     Each fold's constraint set is built and certified once, for all its tasks.
     Tasks are independent; with jobs > 1 they are dispatched to a process
     pool, and results are always collected in task order so outputs do not
-    depend on scheduling. Each (algorithm, alpha) history file is written as
-    soon as its last fold returns, and only its summary rows and meta entry
-    are kept past that.
+    depend on scheduling. Tasks run algorithm first, then alpha, then fold,
+    and no algorithm or alpha repeats (`check_run`), so each (algorithm,
+    alpha) pair is one block of `len(folds)` tasks. Its history file is
+    written as soon as the block's last fold returns, and only its summary
+    rows and meta entry are kept past that.
     """
     validate_dataset_columns(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
@@ -144,10 +145,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
              for fold, cs in zip(folds, sets)]
     log.info("running %d tasks (%d algorithms x %d alphas x %d folds), jobs=%d",
              len(tasks), len(cfg.run.algorithms), len(cfg.run.alphas), len(folds), jobs)
-    keys = [(algorithm, alpha) for _, algorithm, alpha, *_ in tasks]
-    last = {key: i for i, key in enumerate(keys)}
-    pending: dict[tuple[str, float], list[IterationHistory]] = {}
-    written = dict.fromkeys(keys)  # in first-task order, as the summary and meta list them
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             import concurrent.futures  # here, not at the top: read processes never need it
@@ -156,21 +153,18 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1,
             results = pool.map(_run_task, tasks)
         else:
             results = map(_run_task, tasks)
-        for i, key in enumerate(keys):
-            pending.setdefault(key, []).append(next(results))
-            if last[key] == i:
-                written[key] = _write_group(out, cfg, *key, pending.pop(key))
+        written = [_write_group(out, cfg, algorithm, alpha, [next(results) for _ in folds])
+                   for algorithm in cfg.run.algorithms for alpha in cfg.run.alphas]
 
-    _write_summary_csv(out / "summary.csv", [row for _, rows, _ in written.values()
-                                             for row in rows])
+    _write_summary_csv(out / "summary.csv", [row for _, rows, _ in written for row in rows])
     meta = {
         "config": encode_fields(cfg, exclude=("output_dir", "source_path")),
         "seed": cfg.run.seed,
-        "runs": [entry for _, _, entry in written.values()],
+        "runs": [entry for _, _, entry in written],
     }
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
-    return {"histories": [path for path, _, _ in written.values()],
+    return {"histories": [path for path, _, _ in written],
             "summary": str(out / "summary.csv"), "meta": str(out / "run_meta.json")}
 
 

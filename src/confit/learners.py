@@ -26,7 +26,6 @@ class LearnerSpec:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_samples_leaf: int = 5
-    seed: int = 0  # reserved for stochastic variants; fitting is exact and needs no RNG
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:

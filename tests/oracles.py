@@ -943,9 +943,7 @@ def every_step_run(config, train, test, pkg):
             warm[branch] = report.state
             if not report.converged or not pkg.is_member(cs, report.solution,
                                                          10 * pkg.DEFAULT_MEMBER_TOL):
-                report = pkg.SolverReport(yhat.copy(), report.primal_residual,
-                                          report.dual_residual, report.iterations, False,
-                                          report.method)
+                report = dataclasses.replace(report, solution=yhat.copy(), converged=False)
                 fallback = True
         model = pkg.fit(config.learner, train.x, report.solution, loss, reuse)
         yhat_next = model.train_prediction

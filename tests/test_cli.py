@@ -128,6 +128,8 @@ MALFORMED = [
     _case("run", "extra", run="{alphas: [0.5], extra: 1}"),
     _case("run.loss", "extra", run="{alphas: [0.5], loss: {kind: mse, extra: 1}}"),
     _case("run.learner", "extra", run="{alphas: [0.5], learner: {kind: gbt, extra: 1}}"),
+    # fitting is exact, so a learner has no seed to set
+    _case("run.learner", "seed", run="{alphas: [0.5], learner: {kind: gbt, seed: 0}}"),
     _case("solver", "extra", solver="{extra: 1}"),
     _case("output", "extra", output="{extra: 1}"),
     pytest.param(None, "config", None, id="config+directory"),
@@ -167,7 +169,7 @@ FULL_CONFIG = {  # every key of the schema, each with a valid value
     "run": {"loss": {"kind": "huber", "huber_m": 0.1}, "alphas": [0.1, 0.5], "beta": 0.1,
             "iterations": 30, "learner": {"kind": "gbt", "ridge_lambda": 0.0, "n_trees": 50,
                                           "max_depth": 3, "learning_rate": 0.1,
-                                          "min_samples_leaf": 5, "seed": 0},
+                                          "min_samples_leaf": 5},
             "algorithms": ["affine_extension"], "folds": 5, "seed": 7, "normalization": "train"},
     "solver": {"tolerance": 1e-7, "max_iterations": 20000, "warm_start": True},
     "output": {"directory": "out"},
@@ -540,7 +542,7 @@ def test_history_format_3_key_order(history_lines):
         "seed", "norm", "verdict", "stopped_early", "branch_counts"]
     assert list(first["meta"]["learner"]) == [
         "kind", "ridge_lambda", "n_trees", "max_depth", "learning_rate",
-        "min_samples_leaf", "seed"]
+        "min_samples_leaf"]
     assert list(first["initial"]) == [
         "fold", "type", "i", "r2_train", "r2_test", "c_train", "c_test"]
     assert list(first["iteration"]) == [

@@ -93,6 +93,12 @@ def test_didi_encoding_soundness():
     assert agree >= 490
 
 
+def test_didi_group_row_out_of_range_is_a_value_error():
+    protected = (spec_of({0: [0, 1], 1: [2, 4]}),)
+    with pytest.raises(ValueError, match="group row index out of range"):
+        build_didi_constraints(protected, 0.1, 4)
+
+
 def test_didi_boundary_z_is_member():
     protected = (spec_of({0: [0, 1], 1: [2, 3]}),)
     z = np.array([1.0, 0.0, 1.0, 0.0])
