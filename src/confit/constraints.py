@@ -48,10 +48,6 @@ class ConstraintSet:
     def width(self) -> int:
         return self.n + self.n_aux
 
-    @property
-    def m_ineq(self) -> int:
-        return self.a_ineq.shape[0]
-
     def extend(self, z: np.ndarray) -> np.ndarray:
         """Append the analytic auxiliary values to z."""
         z = np.asarray(z, dtype=float)
@@ -70,15 +66,15 @@ def didi_value(z: np.ndarray, protected) -> float:
 
 def didi_groups(protected, n: int) -> tuple:
     """The rows and size of every group of every protected feature, in the
-    order `didi_value` sums them, checked once to be non-empty and within n
-    rows."""
+    order `didi_value` sums them, checked once to be non-empty and within
+    rows 0 to n - 1."""
     groups = []
     for spec in protected:
         for value in spec.group_values():
             rows = spec.groups[value]
             if rows.size == 0:
                 raise ValueError(f"empty group {value} in protected feature {spec.feature_index}")
-            if np.maximum.reduce(rows) >= n:
+            if np.maximum.reduce(rows) >= n or np.minimum.reduce(rows) < 0:
                 raise ValueError("group row index out of range")
             groups.append((rows, rows.size))
     return tuple(groups)

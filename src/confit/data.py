@@ -128,10 +128,6 @@ class Dataset:
         lo, hi = self.feature_ranges[index]
         return self.x[:, index] * (hi - lo) + lo
 
-    def target_raw(self) -> np.ndarray:
-        lo, hi = self.target_range
-        return self.y * (hi - lo) + lo
-
     def with_protected(self, feature_indices) -> "Dataset":
         return replace(self, protected=build_protected(self, feature_indices))
 

@@ -17,13 +17,14 @@ that step's solve converged without fallback: the loop has reached an exact
 fixed point, and so has every later step. A repeated record is a copy of the
 one it repeats, solver fields and gauges included, with its own step number,
 a fresh copy of `z`, and as `yhat` the previous `yhat_next` array; no
-membership check, solve, refit, prediction or gauge is computed for it. A
-step that is a pure function of its input, as every step is with warm starts
-off or on the stateless Dykstra, already-feasible and degenerate-ball
-routes, would have recomputed that same record bit for bit. A warm-started
-primal-dual solve would not: from its carried state it moves a settled
-answer by rounding (up to about 3e-16 on the school data), so only those
-records differ from the ones computed at every step.
+membership check, solve, refit, prediction or gauge is computed for it, and
+the history's `repeats_from` is the first repeated step. A step that is a
+pure function of its input, as every step is with warm starts off or on the
+stateless Dykstra, already-feasible and degenerate-ball routes, would have
+recomputed that same record bit for bit. So would a warm-started primal-dual
+solve whose carried state passes its first step's exit test, since it
+returns that state's point; one whose state fails the test runs on, and may
+move a settled answer by rounding.
 """
 
 from __future__ import annotations
@@ -176,6 +177,13 @@ class IterationRecord:
     solver_dual: float
     fallback: bool = False
 
+    @property
+    def settled(self) -> bool:
+        """Whether this step is the loop's exact fixed point: its solve
+        converged without fallback, and `yhat_next` has the bits of `yhat`."""
+        return self.solver_converged and not self.fallback \
+            and self.yhat_next.tobytes() == self.yhat.tobytes()
+
 
 @dataclass
 class IterationHistory:
@@ -191,6 +199,12 @@ class IterationHistory:
     initial: InitialRecord
     records: list[IterationRecord] = field(default_factory=list)
     stopped_early: bool = False
+    repeats_from: int | None = None  # the first step that repeats the last computed one
+
+    @property
+    def computed(self) -> list[IterationRecord]:
+        """The computed steps: those before `repeats_from`, or all."""
+        return self.records if self.repeats_from is None else self.records[:self.repeats_from - 1]
 
     @property
     def branch_counts(self) -> dict[str, int]:
@@ -212,35 +226,53 @@ class IterationHistory:
     def to_records(self) -> list[dict]:
         """The history as records: one meta record, one initial record,
         then one record per adjustment step, all without their prediction
-        vectors, which `vectors` yields."""
+        vectors, which `vectors` yields. A repeated step's record is the
+        last computed one's with its own `i`."""
         meta = {"type": "meta", **encode_fields(self, exclude=("initial", "records")),
                 "branch_counts": self.branch_counts}
+        steps = [{"type": "iteration", **encode_fields(r, exclude=("z", "yhat", "yhat_next"))}
+                 for r in self.computed]
+        steps += [{**steps[-1], "i": r.i} for r in self.records[len(steps):]]
         return [meta, {"type": "initial", "i": 0, **encode_fields(self.initial, exclude=("yhat",))},
-                *({"type": "iteration", **encode_fields(r, exclude=("z", "yhat", "yhat_next"))}
-                  for r in self.records)]
+                *steps]
 
     def vectors(self) -> Iterator[np.ndarray]:
         """The prediction vectors left out of `to_records`, in file order: the
-        initial `yhat`, then each step's `z` and `yhat_next`. A step's `yhat`
-        is not among them: it is the previous step's `yhat_next`."""
+        initial `yhat`, then each computed step's `z` and `yhat_next`. A
+        step's `yhat` is not among them: it is the previous step's
+        `yhat_next`. Nor are a repeated step's, which are the last computed
+        step's."""
         yield self.initial.yhat
-        for r in self.records:
+        for r in self.computed:
             yield r.z
             yield r.yhat_next
 
     def set_vectors(self, vectors: Iterable[np.ndarray]) -> None:
         """Inverse of `vectors`. A step's `yhat` is the previous step's
-        `yhat_next` array itself, not a copy."""
+        `yhat_next` array itself, not a copy. Each repeated step is rebuilt
+        as `run` makes it, with a fresh copy of the last computed `z`, once
+        that step is checked to be an exact fixed point."""
         take = iter(vectors)
         previous = self.initial.yhat = next(take)
-        for r in self.records:
+        computed = self.computed
+        for r in computed:
             r.yhat, r.z, r.yhat_next = previous, next(take), next(take)
             previous = r.yhat_next
+        if len(computed) < len(self.records):
+            last = computed[-1]
+            if not last.settled:
+                raise DataError(f"step {last.i} is not an exact fixed point, yet the steps "
+                                f"from {self.repeats_from} on repeat it")
+            for r in self.records[len(computed):]:
+                r.z, r.yhat, r.yhat_next = last.z.copy(), previous, previous
 
     @classmethod
     def from_records(cls, records: list[dict],
                      vectors: Iterable[np.ndarray] | None = None) -> "IterationHistory":
-        """Inverse of `to_records`; malformed records raise DataError. The
+        """Inverse of `to_records`; malformed records raise DataError, as do
+        a `repeats_from` that names no step from 2 to the last, and a
+        repeated step whose record is not the last computed one's with its
+        own `i`, or whose solve did not converge or took the fallback. The
         arrays come from `vectors` through `set_vectors`, or are None."""
         if len(records) < 2 or records[0].get("type") != "meta" \
                 or records[1].get("type") != "initial":
@@ -253,6 +285,19 @@ class IterationHistory:
                 raise DataError(f"unexpected record type {rec.get('type')!r}")
             steps.append(decode_fields(IterationRecord, rec, yhat=None, z=None, yhat_next=None))
         history = decode_fields(cls, records[0], initial=initial, records=steps)
+        start = history.repeats_from
+        if start is not None:
+            if type(start) is not int or not 2 <= start <= len(steps):
+                raise DataError(f"repeats_from {start!r}: expected null or a step "
+                                f"from 2 to {len(steps)}")
+            last, line = steps[start - 2], records[start]  # the last computed step
+            if not last.solver_converged or last.fallback:
+                raise DataError(f"step {last.i} did not converge without fallback, yet the "
+                                f"steps from {start} on repeat it")
+            for rec in records[start + 1:]:
+                if {**rec, "i": line["i"]} != line:
+                    raise DataError(f"step {rec['i']} repeats step {last.i}, but its "
+                                    "record differs")
         if vectors is not None:
             history.set_vectors(vectors)
         return history
@@ -398,12 +443,12 @@ def run(config: RunConfig, train: Dataset, test: Dataset) -> IterationHistory:
     prev_residual = None
     for i in range(1, config.iterations):
         last = history.records[-1] if history.records else None
-        if last is not None and last.solver_converged and not last.fallback \
-                and last.yhat_next.tobytes() == last.yhat.tobytes():
+        if last is not None and last.settled:
             # an exact fixed point: this step's input is the last step's, bit
             # for bit, and so is every later step's, so each repeats it
             log.info("%s alpha=%g: exact fixed point at step %d; the %d steps after it "
                      "repeat it", config.algorithm, config.alpha, last.i, config.iterations - i)
+            history.repeats_from = i
             history.records += [replace(last, i=j, z=last.z.copy(), yhat=last.yhat_next)
                                 for j in range(i, config.iterations)]
             break

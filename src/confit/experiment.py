@@ -5,15 +5,17 @@ Artifacts per run directory:
 
 * ``history_<algorithm>_<loss>_a<alpha>.jsonl``: one line-delimited record
   stream per (algorithm, alpha), holding a file-level meta line followed by
-  every fold's iteration records (tagged with their fold). Format 3 keeps
+  every fold's iteration records (tagged with their fold). Format 4 keeps
   only scalars there; the prediction vectors go to the sidecar
   ``history_<algorithm>_<loss>_a<alpha>.f64`` as raw little-endian float64,
-  per fold the initial ``yhat``, then ``z`` and ``yhat_next`` per step (a
-  step's ``yhat`` is the previous step's ``yhat_next``), in the manner of
-  NumPy's ``.npy``: a text header, then raw data. A scalar-only read, as
-  ``plotdata`` and ``compare`` do, checks the sidecar's size but never opens
-  it. Format 3 is the only format read: a file of an older format, which
-  held the vectors as JSON text, is a DataError that names its format;
+  per fold the initial ``yhat``, then ``z`` and ``yhat_next`` per computed
+  step (a step's ``yhat`` is the previous step's ``yhat_next``), in the
+  manner of NumPy's ``.npy``: a text header, then raw data. The steps from a
+  fold's ``repeats_from`` on repeat its last computed step, so they have
+  no vectors of their own. A scalar-only read, as ``plotdata`` and
+  ``compare`` do, checks the sidecar's size but never opens it. Format 4 is
+  the only format read: a file of an older format is a DataError that
+  names its format;
 * ``summary.csv``: final-metric rows per fold plus mean/std aggregate rows;
 * ``run_meta.json``: config echo, seed, and convergence verdicts.
 
@@ -193,12 +195,13 @@ def sidecar_path(path) -> Path:
 
 def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float,
                        histories: list[IterationHistory]) -> None:
-    """Write one history in format 3: the scalar records to `path`, and every
-    vector to `sidecar_path(path)` as raw little-endian float64."""
+    """Write one history in format 4: the scalar records to `path`, and the
+    vectors of the computed steps to `sidecar_path(path)` as raw
+    little-endian float64."""
     rows = [int(h.initial.yhat.size) for h in histories]
     filemeta = {
         "type": "filemeta",
-        "format": 3,
+        "format": 4,
         "algorithm": algorithm,
         "alpha": alpha,
         "beta": cfg.run.beta,
@@ -224,16 +227,18 @@ def write_history_file(path, cfg: ExperimentConfig, algorithm: str, alpha: float
 
 
 def _vector_bytes(rows: list[int], histories: list[IterationHistory]) -> int:
-    """Sidecar size: per fold, 1 + 2 * steps vectors of that fold's length."""
-    return sum(8 * n * (1 + 2 * len(h.records)) for n, h in zip(rows, histories))
+    """Sidecar size: per fold, 1 + 2 * computed steps vectors of that fold's
+    length."""
+    return sum(8 * n * (1 + 2 * len(h.computed)) for n, h in zip(rows, histories))
 
 
 def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationHistory]]:
-    """Read a format-3 history back; a malformed file, or one of another
+    """Read a format-4 history back; a malformed file, or one of another
     format, raises DataError naming it. The sidecar must exist and have the
     size the file meta records; it is read only with `vectors`, and without
     it the histories' arrays are None. With them, each fold's first residual
-    must follow from its vectors, and fold 0 have the rows the meta records."""
+    must follow from its vectors, a fold's repeated steps must repeat an
+    exact fixed point, and fold 0 have the rows the meta records."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such history file: {path}")
@@ -253,8 +258,8 @@ def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationH
         raise DataError(f"{path}: not a history file (missing filemeta line)")
     filemeta = records[0]
     version = filemeta.get("format")
-    if type(version) is not int or version != 3:
-        raise DataError(f"{path}: history format {version!r}; only format 3 is read")
+    if type(version) is not int or version != 4:
+        raise DataError(f"{path}: history format {version!r}; only format 4 is read")
     if any(r.get("type") == "filemeta" for r in records[1:]):
         raise DataError(f"{path}: holds more than one history; one history per file")
     histories = _decode_folds(path, filemeta, records[1:])
@@ -267,8 +272,11 @@ def load_history_file(path, vectors: bool = True) -> tuple[dict, list[IterationH
         data = np.fromfile(sidecar_path(path), dtype="<f8")
         offset = 0
         for j, (n, history) in enumerate(zip(rows, histories)):
-            count = 1 + 2 * len(history.records)
-            history.set_vectors(data[offset:offset + count * n].reshape(count, n))
+            count = 1 + 2 * len(history.computed)
+            try:
+                history.set_vectors(data[offset:offset + count * n].reshape(count, n))
+            except DataError as exc:
+                raise DataError(f"{path}: fold {j}: {exc}") from None
             offset += count * n
             step = history.records[0] if history.records else None
             if step is not None and not math.isclose(  # norms may differ in the last bits

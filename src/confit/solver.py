@@ -138,10 +138,13 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
     log-ratio of the dual to the primal movement since the last restart.
 
     A solve that resumes a warm `state` also computes the residual of its
-    first step, and returns that step when both parts are within `tol`,
-    before any restart bookkeeping. The check changes none of it, so a solve
-    that goes on runs exactly as it would without it. Cold starts skip it:
-    they never start at their answer.
+    first step, and when both parts are within `tol` it returns the resumed
+    point itself, as its solution and its state, before any restart
+    bookkeeping. The report keeps the residuals of that checked step. So a
+    state that already solves the new problem comes back bit for bit, and a
+    settled loop repeats its answer exactly. The check changes none of the
+    bookkeeping, so a solve that goes on runs exactly as it would without
+    it. Cold starts skip it: they never start at their answer.
 
     `objective`, when given, describes the loss for the polish: ("mae",
     ((anchor, weight), ...)) for sum_j weight_j * |z - anchor_j|, which is
@@ -192,8 +195,10 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         return xn, yn, t2 - sig * project_ball(spec, t2 / sig, center, beta)
 
     def residual(x0, y0, yb0, x1, y1, yb1):
-        """The primal and dual parts of P (z0 - z1), with P the PDHG metric:
-        for z1 the step from z0, a KKT residual of z1, root mean square."""
+        """The primal and dual parts of P (z0 - z1), with P the PDHG metric,
+        root mean square. For z1 the step from z0 this is a KKT residual of
+        z1 and the fixed-point residual of z0, so it measures either point:
+        the resumed exit returns z0, every other exit z1."""
         dx = x0 - x1
         dy = y0 - y1
         p = dx / tau - at @ dy
@@ -323,6 +328,8 @@ def _pdhg(geom: _Geometry, prox_z, tol: float, max_iter: int, state=None,
         if checked or it == 1 and resumed:  # a resumed solve's first step, for the exit only
             pri, dua = residual(x_old, y_old, yb_old, x, y, yb)
             if pri <= tol and dua <= tol:
+                if it == 1 and resumed:  # the resumed point passed the same test: keep it
+                    x, y, yb = x_old, y_old, yb_old
                 break
         if since == 0:  # allocated here, so a resumed solve that ends at step 1 makes none
             x_sum, y_sum = np.zeros(width), np.zeros(m)

@@ -370,7 +370,7 @@ def pdhg_unrestarted_reference(geom, prox_z, tol, max_iter, state=None, ball=Non
 
 
 def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
-                   project_ball=None, objective=None):
+                   project_ball=None, objective=None, stepped_exit=False):
     """The restarted primal-dual iteration written out plainly: fresh arrays
     every step, the inequality multipliers clipped at 0 through a mask, and
     the restart rules of Applegate et al. (2021) spelled out with their
@@ -381,7 +381,10 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
     iterations old; each restart moves log(omega) half way to log(dual /
     primal movement). Steps are tau = eta/omega, sigma = eta*omega with
     eta = 0.95/||K||. A solve that resumes a state also checks the residual
-    of its first step, and stops there when it is within tol.
+    of its first step, and stops there when it is within tol, with the
+    resumed point as its answer and state: that point passed the test too.
+    With `stepped_exit` it returns the stepped point there instead, the
+    second algorithm, which checks the first one's answers at tolerance.
 
     With an `objective`, each 10-iteration check first polishes the iterate,
     as OSQP does (Stellato et al. 2020): coordinates on a bound are held, the
@@ -590,6 +593,8 @@ def pdhg_reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_st
         if it == 1 and resumed:
             pri, dua = residual(z_old, z, tau, sig)
             if pri <= tol and dua <= tol:
+                if not stepped_exit:
+                    z = z_old
                 break
         if it % 10 and it != max_iter:
             continue

@@ -187,7 +187,7 @@ def test_criterion_5_solver_matches_grid_oracle():
             # no auxiliaries here, so the raw rows can be evaluated in bulk
             ok = np.all((pts >= cs.lower[None, :] - 1e-12)
                         & (pts <= cs.upper[None, :] + 1e-12), axis=1)
-            if cs.m_ineq:
+            if cs.a_ineq.shape[0]:
                 ok &= np.all(pts @ cs.a_ineq.T <= cs.b_ineq[None, :] + 1e-12, axis=1)
             if ball is not None:
                 ok &= pointwise(spec, pts - ball[0][None, :]).mean(axis=1) <= ball[1] + 1e-12

@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import math
 import operator
 import os
 import re
@@ -513,11 +514,11 @@ def history_lines(tmp_path_factory, csv_50):
             "sidecar": sidecar_path(path).read_bytes(), "meta_doc": meta_doc}
 
 
-def test_history_format_3_key_order(history_lines):
+def test_history_format_4_key_order(history_lines):
     # the records are the dataclass fields in declaration order, less the
     # vectors (the initial `yhat`, each step's `z`, `yhat` and `yhat_next`),
     # which go to the sidecar: a field added to or moved in IterationHistory,
-    # InitialRecord, IterationRecord or the config blocks changes format 3 and
+    # InitialRecord, IterationRecord or the config blocks changes format 4 and
     # must show up here
     lines, meta_doc = history_lines["lines"], history_lines["meta_doc"]
     records = [json.loads(line) for line in lines]
@@ -525,7 +526,7 @@ def test_history_format_3_key_order(history_lines):
     for rec in records:
         first.setdefault(rec["type"], rec)
     assert list(first) == ["filemeta", "meta", "initial", "iteration"]
-    assert first["filemeta"]["format"] == 3
+    assert first["filemeta"]["format"] == 4
     assert list(first["filemeta"]) == [
         "type", "format", "algorithm", "alpha", "beta", "iterations", "loss", "folds",
         "seed", "dataset", "verdict", "vectors"]
@@ -534,12 +535,15 @@ def test_history_format_3_key_order(history_lines):
         "verdict", "alpha_bound", "lipschitz_constant", "note"]
     vectors = first["filemeta"]["vectors"]
     assert list(vectors) == ["rows", "bytes"]
-    steps = [sum(r["type"] == "iteration" and r["fold"] == j for r in records) for j in (0, 1)]
+    # the sidecar holds the vectors of the steps before `repeats_from`
+    computed = [sum(r["type"] == "iteration" and r["fold"] == j
+                    and r["i"] < (meta["repeats_from"] or math.inf) for r in records)
+                for j, meta in enumerate(r for r in records if r["type"] == "meta")]
     assert vectors["bytes"] == len(history_lines["sidecar"]) == sum(
-        8 * n * (1 + 2 * k) for n, k in zip(vectors["rows"], steps, strict=True))
+        8 * n * (1 + 2 * k) for n, k in zip(vectors["rows"], computed, strict=True))
     assert list(first["meta"]) == [
         "fold", "type", "algorithm", "alpha", "beta", "iterations", "loss", "learner",
-        "seed", "norm", "verdict", "stopped_early", "branch_counts"]
+        "seed", "norm", "verdict", "stopped_early", "repeats_from", "branch_counts"]
     assert list(first["meta"]["learner"]) == [
         "kind", "ridge_lambda", "n_trees", "max_depth", "learning_rate",
         "min_samples_leaf"]
@@ -608,9 +612,10 @@ def _split_fold(lines):
     (_edit_line(3, lambda rec: rec.update(solver_iterations="3")),
      "IterationRecord.solver_iterations"),
     (lambda lines: lines[:-1], "unequal iteration counts"),
-    (_set_format(2), "history format 2; only format 3 is read"),
-    (_set_format(1), "history format 1; only format 3 is read"),
-    (_set_format(7), "history format 7; only format 3 is read"),
+    (_set_format(2), "history format 2; only format 4 is read"),
+    (_set_format(1), "history format 1; only format 4 is read"),
+    (_set_format(7), "history format 7; only format 4 is read"),
+    (_set_format(3), "history format 3; only format 4 is read"),
     (_edit_line(0, lambda filemeta: filemeta["vectors"].update(bytes=8)),
      "'vectors' entry does not match the records"),
     (_edit_line(0, lambda filemeta: filemeta.update(folds=7)),
@@ -630,24 +635,116 @@ def _split_fold(lines):
     (_in_fold(1, _edit_line(3, lambda rec: rec.update(residual="0.5"))),
      "fold 1: IterationRecord.residual"),
     (_in_fold(0, lambda lines: lines[:-1]), "unequal iteration counts"),
+    (_edit_line(1, lambda meta: meta.pop("repeats_from")), "missing field 'repeats_from'"),
+    (_edit_line(1, lambda meta: meta.update(repeats_from=2)),
+     "step 2 repeats step 1, but its record differs"),
 ], ids=["format-3-cut-mid-line", "format-3-not-an-object", "format-3-meta-only",
         "format-3-missing-field", "format-3-wrong-type", "format-3-unequal-folds",
         "format-3-read-as-format-2", "format-1-without-yhat", "unknown-format",
+        "format-3-file",
         "format-3-vectors-meta", "folds-miscounted", "fold-tagged-true", "fold-tagged-9",
         "folds-swapped", "fold-split", "cut-mid-line", "not-an-object", "meta-only",
-        "missing-field", "wrong-type", "unequal-folds"])
+        "missing-field", "wrong-type", "unequal-folds", "repeats-from-missing",
+        "repeats-from-a-computed-step"])
 def test_malformed_history_is_a_data_error(tmp_path, history_lines, damage, message,
                                            capsys, caplog):
-    # the file keeps its intact sidecar; each command prints one line
+    # the ids that start "format-3" name cases first written for format 3
+    _assert_unreadable(tmp_path, history_lines, damage, message, capsys, caplog)
+
+
+def _assert_unreadable(tmp_path, history, damage, message, capsys, caplog):
+    """The history with its lines damaged and its intact sidecar makes both
+    commands exit 1, each with one line that names the file."""
     path = tmp_path / "damaged.jsonl"
-    path.write_text("\n".join(damage(history_lines["lines"])) + "\n")
-    sidecar_path(path).write_bytes(history_lines["sidecar"])
+    path.write_text("\n".join(damage(history["lines"])) + "\n")
+    sidecar_path(path).write_bytes(history["sidecar"])
     for command in (["plotdata", str(path)], ["compare", str(path), str(path)]):
         assert main(command) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {path}: ") and message in err
     assert "unhandled failure" not in caplog.text
+
+
+@pytest.fixture(scope="module")
+def repeating_lines(tmp_path_factory, csv_50):
+    """As `history_lines`, for a 30-iteration run whose folds reach their
+    exact fixed points: fold 0 repeats from step 13 on, fold 1 from step 12."""
+    tmp_path = tmp_path_factory.mktemp("repeats")
+    cfg = write_config(tmp_path, csv_50, iterations=30)
+    assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 0
+    path = next((tmp_path / "out").glob("history_*.jsonl"))
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["repeats_from"] for line in lines
+            if json.loads(line)["type"] == "meta"] == [13, 12]
+    return {"lines": lines, "sidecar": sidecar_path(path).read_bytes(), "path": path}
+
+
+def _step_line(step, edit):
+    """Edits the line of fold 0's step `step`."""
+    def damage(lines):
+        k = next(k for k, line in enumerate(lines) if json.loads(line).get("fold") == 0
+                 and json.loads(line).get("i") == step and '"iteration"' in line)
+        return _edit_line(k, edit)(lines)
+    return damage
+
+
+def _set_repeats_from(value):
+    return _edit_line(1, lambda meta: meta.update(repeats_from=value))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_set_repeats_from("13"), "fold 0: repeats_from '13': expected null or a step from 2 to 29"),
+    (_set_repeats_from(13.0), "fold 0: repeats_from 13.0: expected null or a step from 2 to 29"),
+    (_set_repeats_from(1), "fold 0: repeats_from 1: expected null or a step from 2 to 29"),
+    (_set_repeats_from(30), "fold 0: repeats_from 30: expected null or a step from 2 to 29"),
+    (_step_line(12, lambda rec: rec.update(solver_converged=False)),
+     "fold 0: step 12 did not converge without fallback, yet the steps from 13 on repeat it"),
+    (_step_line(12, lambda rec: rec.update(fallback=True)),
+     "fold 0: step 12 did not converge without fallback, yet the steps from 13 on repeat it"),
+    (_step_line(20, lambda rec: rec.update(residual=0.5)),
+     "fold 0: step 20 repeats step 12, but its record differs"),
+    (_step_line(29, lambda rec: rec.update(branch="feasible")),
+     "fold 0: step 29 repeats step 12, but its record differs"),
+], ids=["a-string", "a-float", "step-1", "past-the-last-step", "unconverged", "fallback",
+        "a-repeat-differs", "the-last-repeat-differs"])
+def test_a_malformed_repeat_is_a_data_error(tmp_path, repeating_lines, damage, message,
+                                            capsys, caplog):
+    _assert_unreadable(tmp_path, repeating_lines, damage, message, capsys, caplog)
+
+
+def test_a_repeat_of_no_fixed_point_is_a_data_error(tmp_path, repeating_lines, capsys):
+    # step 12's `yhat_next` moved by one unit in the last place: the scalars
+    # still read, but the vectors show that step 12 is no exact fixed point
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(repeating_lines["lines"]) + "\n")
+    data = np.frombuffer(repeating_lines["sidecar"], dtype="<f8").copy()
+    rows = json.loads(repeating_lines["lines"][0])["vectors"]["rows"][0]
+    data[2 * 12 * rows] = np.nextafter(data[2 * 12 * rows], 2.0)
+    sidecar_path(path).write_bytes(data.tobytes())
+    with pytest.raises(DataError, match=re.escape(
+            f"{path}: fold 0: step 12 is not an exact fixed point, yet the steps from 13 "
+            "on repeat it")):
+        load_history_file(path)
+    load_history_file(path, vectors=False)
+    assert main(["plotdata", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_a_sidecar_sized_for_format_3_is_a_data_error(tmp_path, repeating_lines, capsys):
+    # format 3 also held every repeated step's `z` and `yhat_next`
+    _, histories = load_history_file(repeating_lines["path"])
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(repeating_lines["lines"]) + "\n")
+    sidecar_path(path).write_bytes(b"".join(
+        np.concatenate([h.initial.yhat] + [v for r in h.records for v in (r.z, r.yhat_next)])
+        .astype("<f8").tobytes() for h in histories))
+    for command in (["plotdata", str(path)], ["compare", str(path), str(path)]):
+        assert main(command) == 1
+        assert f"{sidecar_path(path)}: holds " in capsys.readouterr().err
+    with pytest.raises(DataError, match=re.escape(
+            f"the vectors of {path} take {len(repeating_lines['sidecar'])}")):
+        load_history_file(path)
 
 
 @pytest.mark.parametrize("damage", [
@@ -733,7 +830,7 @@ def test_history_round_trip(tmp_path, csv_50, capsys, monkeypatch):
     meta, read = load_history_file(path)
     assert len(calls) == len(histories)  # each fold's records are decoded once
     assert meta == json.loads(path.read_text().splitlines()[0])
-    assert meta["format"] == 3 and meta["vectors"] == {
+    assert meta["format"] == 4 and meta["vectors"] == {
         "rows": [h.initial.yhat.size for h in histories],
         "bytes": sidecar_path(path).stat().st_size}
     # the sidecar is read once: every vector is a view into one array
@@ -767,6 +864,49 @@ def test_history_round_trip(tmp_path, csv_50, capsys, monkeypatch):
     assert output("compare", str(path), str(path)) == \
         "\n".join(compare_rows(meta, read, meta, read)) + "\n"
     assert compare_rows(meta, scalars, meta, scalars) == compare_rows(meta, read, meta, read)
+
+
+def test_a_repeating_history_round_trips(tmp_path, csv_50):
+    # the sidecar holds the computed steps only; the read rebuilds each
+    # repeated step as the run made it, and its line is the last computed
+    # one's with its own `i`, key order and bytes included
+    cfg = load_config(write_config(tmp_path, csv_50, iterations=30))
+    histories = [_run_task((cfg, "affine_extension", 0.5, fold, build_constraints(cfg, fold.train)))
+                 for fold in prepare_folds(cfg)]
+    assert [h.repeats_from for h in histories] == [13, 12]
+    path = tmp_path / "history.jsonl"
+    write_history_file(path, cfg, "affine_extension", 0.5, histories)
+    assert sidecar_path(path).stat().st_size == sum(
+        8 * h.initial.yhat.size * (1 + 2 * (h.repeats_from - 1)) for h in histories)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for j, h in enumerate(histories):
+        steps = [rec for rec in lines if rec.get("fold") == j and rec["type"] == "iteration"]
+        assert [json.dumps(rec) for rec in steps] == [json.dumps({
+            "fold": j, "type": "iteration",
+            **driver.encode_fields(r, exclude=("z", "yhat", "yhat_next"))}) for r in h.records]
+    _, read = load_history_file(path)
+    for h, back in zip(histories, read, strict=True):
+        assert_same_fields(back, h)
+        last = back.records[back.repeats_from - 2]
+        for r in back.records[back.repeats_from - 1:]:
+            assert r.yhat is r.yhat_next is last.yhat_next
+            assert r.z is not last.z and r.z.base is None
+
+
+def test_warm_runs_settle_no_later_than_cold_ones(tmp_path):
+    # the school-ridge benchmark's runs, counted from the written histories:
+    # a resumed solve that passes its first exit test returns the resumed
+    # point, so warm starts do not delay a run's exact fixed point
+    cfg = load_config(REPO / "perfbench" / "configs" / "school-ridge.yaml")
+    computed = {}
+    for warm in (True, False):
+        out = run_experiment(replace(cfg, solver=replace(cfg.solver, warm_start=warm)),
+                             out_dir=str(tmp_path / f"warm-{warm}"))
+        histories = [h for path in out["histories"]
+                     for h in load_history_file(path, vectors=False)[1]]
+        assert sum(len(h.records) for h in histories) == 870
+        computed[warm] = sum(len(h.computed) for h in histories)
+    assert computed[True] <= computed[False]
 
 
 def test_jobs_1_and_2_byte_identical(tmp_path, csv_50):

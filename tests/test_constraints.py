@@ -99,6 +99,15 @@ def test_didi_group_row_out_of_range_is_a_value_error():
         build_didi_constraints(protected, 0.1, 4)
 
 
+def test_a_negative_group_row_is_a_value_error():
+    # numpy would read row -1 from the end, putting row 3 in group 0
+    protected = (spec_of({0: [0, -1], 1: [1, 2]}),)
+    with pytest.raises(ValueError, match="group row index out of range"):
+        didi_value(np.arange(4.0), protected)
+    with pytest.raises(ValueError, match="group row index out of range"):
+        build_didi_constraints(protected, 0.1, 4)
+
+
 def test_didi_boundary_z_is_member():
     protected = (spec_of({0: [0, 1], 1: [2, 3]}),)
     z = np.array([1.0, 0.0, 1.0, 0.0])

@@ -136,7 +136,8 @@ def test_normalize_inverse_round_trip():
     ds = normalize(t, "target")
     assert np.allclose(ds.feature_column_raw(0), vals[:, 0], atol=1e-9)
     assert np.allclose(ds.feature_column_raw(1), vals[:, 1], atol=1e-9)
-    assert np.allclose(ds.target_raw(), vals[:, 2], atol=1e-9)
+    lo, hi = ds.target_range
+    assert np.allclose(ds.y * (hi - lo) + lo, vals[:, 2], atol=1e-9)
 
 
 def test_build_protected_groups():

@@ -491,6 +491,20 @@ def test_warm_runs_repeat_their_exact_fixed_point(name):
         assert np.max(np.abs(r.z - computed.z)) <= config.solver.tolerance
 
 
+@pytest.mark.parametrize("name", sorted(_WARM_FIXED_POINT_RUNS))
+def test_a_run_states_its_first_repeated_step(name):
+    # the vectors hold the computed steps only, and the records and those
+    # vectors give the run back bit for bit
+    config, ds, _, _, first = _fixed_point_run(*_WARM_FIXED_POINT_RUNS[name])
+    history = run(config, ds, ds)
+    assert history.repeats_from == history.records[first].i == first + 1
+    assert len(list(history.vectors())) == 1 + 2 * first
+    back = IterationHistory.from_records(history.to_records(), vectors=history.vectors())
+    assert back.repeats_from == history.repeats_from
+    assert [_bits(r) for r in back.records] == [_bits(r) for r in history.records]
+    assert run(replace(config, iterations=first + 1), ds, ds).repeats_from is None
+
+
 def test_a_repeated_step_computes_nothing(monkeypatch):
     # the calls of a run end at its exact fixed point: a run that goes on
     # past it makes the same calls as one that stops there

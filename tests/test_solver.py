@@ -99,7 +99,7 @@ def grid_oracle_check(spec, anchor, cs, ball=None, step=1e-3, tol=2e-3):
         # the 2-D oracle sets carry no auxiliaries: evaluate rows in bulk
         ok = np.all((pts >= cs.lower[None, :] - 1e-12)
                     & (pts <= cs.upper[None, :] + 1e-12), axis=1)
-        if cs.m_ineq:
+        if cs.a_ineq.shape[0]:
             ok &= np.all(pts @ cs.a_ineq.T <= cs.b_ineq[None, :] + 1e-12, axis=1)
         if ball is not None:
             center, beta = ball
@@ -426,6 +426,14 @@ def test_pdhg_matches_reference_bit_for_bit(route, cs, solve, objective, ball, o
     warm_ref = solve(opts, cold_ref.state, 0.01)
     _same_report(warm, warm_ref)
     _same_report(again, solve(opts, warm_ref.state, 0.01))
+    # the second algorithm returns the stepped point at the resumed exit: it
+    # ends at the same step with the same residuals, within tolerance
+    _patched_pdhg(monkeypatch, polished=True, stepped_exit=True)
+    stepped = solve(opts, warm_ref.state, 0.01)
+    assert (stepped.iterations, stepped.primal_residual, stepped.dual_residual,
+            stepped.converged) == (again.iterations, again.primal_residual,
+                                   again.dual_residual, again.converged)
+    assert np.max(np.abs(stepped.solution - again.solution)) <= opts.tolerance
 
 
 @PDHG_OPTIONS
@@ -520,13 +528,14 @@ def test_face_polish_ends_the_heavy_tail_of_mae_ball_solves(monkeypatch):
             assert np.array_equal(got.z, ref.z)
 
 
-def _patched_pdhg(monkeypatch, polished):
+def _patched_pdhg(monkeypatch, polished, stepped_exit=False):
     """Route the primal-dual solves through `pdhg_reference`: the polished
-    iteration, or the restarted one alone."""
+    iteration, or the restarted one alone, with its resumed exit or the
+    stepped one."""
     def reference(geom, prox_z, tol, max_iter, state=None, ball=None, anchor_start=None,
                   objective=None):
         return pdhg_reference(geom, prox_z, tol, max_iter, state, ball, anchor_start,
-                              project_ball, objective if polished else None)
+                              project_ball, objective if polished else None, stepped_exit)
 
     monkeypatch.setattr(solver, "_pdhg", reference)
 
